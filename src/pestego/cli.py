@@ -28,8 +28,7 @@ from .statstego import (
     Carrier,
     MessageLayout,
     StatParams,
-    block_statistics,
-    detect_bit,
+    detect_blocks,
     embed_message,
 )
 
@@ -190,16 +189,14 @@ def cmd_stat_extract(args) -> int:
     params = _stat_params(args)
     carrier = _read_carrier(args)
     key = _parse_key(args.key)
-    stats = block_statistics(carrier, key, args.bits, params)
-    bits = [detect_bit(s, params) for s in stats]
+    q, bits = detect_blocks(carrier, key, args.bits, params)
+    q, bits = q.tolist(), bits.tolist()
     if args.csv:
-        print("block,q,bit")
-        for i, (stat, bit) in enumerate(zip(stats, bits)):
-            print(f"{i},{stat.q!r},{bit}")
+        lines = ["block,q,bit"] + [f"{i},{qi!r},{bit}" for i, (qi, bit) in enumerate(zip(q, bits))]
     else:
-        print("bits: " + "".join(str(b) for b in bits))
-        for i, (stat, bit) in enumerate(zip(stats, bits)):
-            print(f"block {i}: q={stat.q:+.6f} bit={bit}")
+        lines = ["bits: " + "".join(map(str, bits))]
+        lines += [f"block {i}: q={qi:+.6f} bit={bit}" for i, (qi, bit) in enumerate(zip(q, bits))]
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

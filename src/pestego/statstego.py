@@ -144,14 +144,26 @@ class StatParams:
     alpha: float = 0.05
 
     def __post_init__(self):
+        """Refuse every setting that embedding or detection could not use, so both refuse alike."""
         if self.block_rows < 1 or self.block_cols < 1:
             raise ValueError("block dimensions must be positive")
-        if (self.block_rows * self.block_cols) % 2:
+        if self.block_len % 2:
             raise OddBlockLengthError(f"block of {self.block_rows}x{self.block_cols} has odd length")
+        if self.block_len < 4:
+            raise BlockTooSmallError(
+                f"block of {self.block_rows}x{self.block_cols} is too small: need at least 2 values per set"
+            )
+        if self.block_len > _MAX_BLOCK_LEN:
+            raise ValueError(
+                f"block of {self.block_rows}x{self.block_cols} exceeds {_MAX_BLOCK_LEN} pixels,"
+                " past which the detection sums overflow 64 bits"
+            )
         if self.k < 1:
             raise ValueError(f"strength k must be a positive integer, got {self.k}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if 1.0 - self.alpha == 1.0:
+            raise ValueError(f"alpha {self.alpha!r} is too small: 1 - alpha rounds to 1, so z_alpha is not finite")
 
     @property
     def block_len(self) -> int:
@@ -207,9 +219,73 @@ def _check_lengths(block: CarrierBlock, pattern: KeyPattern) -> None:
 def split_block(block: CarrierBlock, pattern: KeyPattern) -> tuple[bytes, bytes]:
     """Partition block values into (C, D) by the pattern bits."""
     _check_lengths(block, pattern)
-    mask = np.frombuffer(pattern.bits, dtype=np.uint8).astype(bool)
+    mask = _mask(pattern)
     values = np.frombuffer(block.values, dtype=np.uint8)
     return values[mask].tobytes(), values[~mask].tobytes()
+
+
+# The block kernel.  Embedding and detection work on an (n_blocks, block_len)
+# uint8 array holding one block per row, in row-major block order.  Detection
+# lays each row out C half first, so both halves are slices rather than
+# copies.  The per-block API is a one-row call into the same functions, so
+# batched and scalar results cannot differ.
+
+_SQUARES = np.arange(256, dtype=np.uint16) ** 2  # 255**2 fits 16 bits
+# Largest block whose int64 moments cannot overflow: with h = block_len / 2,
+# the spread N below is at most 2 * h**2 * 255**2, which stays under 2**63.
+_MAX_BLOCK_LEN = 1 << 24
+
+
+def _mask(pattern: KeyPattern) -> np.ndarray:
+    return np.frombuffer(pattern.bits, dtype=np.uint8).astype(bool)
+
+
+def _c_first(pattern: KeyPattern) -> np.ndarray:
+    """Block positions of the C half, then of the D half."""
+    return np.argsort(~_mask(pattern), kind="stable")
+
+
+def _raise_rows(rows: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
+    """Every row with its C positions raised by k, saturating at 255."""
+    step = min(k, 255)  # min(x + k, 255) == min(x, 255 - step) + step for uint8 x, without widening
+    return np.where(mask, np.minimum(rows, 255 - step) + step, rows)
+
+
+def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact int64 (S1c, S1d, N) of C-first rows: the C and D sums, and h*(h-1)*(var_c + var_d)."""
+    half = rows.shape[1] // 2
+    c, d = rows[:, :half], rows[:, half:]
+    sum_c = c.sum(axis=1, dtype=np.int64)
+    sum_d = d.sum(axis=1, dtype=np.int64)
+    spread_c = half * _SQUARES[c].sum(axis=1, dtype=np.int64) - sum_c * sum_c
+    spread_d = half * _SQUARES[d].sum(axis=1, dtype=np.int64) - sum_d * sum_d
+    return sum_c, sum_d, spread_c + spread_d
+
+
+def _q(sum_c: np.ndarray, sum_d: np.ndarray, spread: np.ndarray, half: int) -> np.ndarray:
+    """q = (S1c - S1d) * sqrt(h - 1) / sqrt(N); 0 or a signed infinity when N = 0."""
+    diff = sum_c - sum_d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = diff * math.sqrt(half - 1) / np.sqrt(spread)
+    return np.where(spread > 0, q, np.where(diff == 0, 0.0, np.copysign(np.inf, diff)))
+
+
+def _statistics(rows: np.ndarray) -> list[DetectionStatistic]:
+    half = rows.shape[1] // 2
+    sum_c, sum_d, spread = _moments(rows)
+    q = _q(sum_c, sum_d, spread, half)
+    sigma_hat = np.sqrt(spread) / (half * math.sqrt(half - 1))
+    return [
+        DetectionStatistic(q=qi, sigma_hat=si, mean_c=ci / half, mean_d=di / half)
+        for qi, si, ci, di in zip(q.tolist(), sigma_hat.tolist(), sum_c.tolist(), sum_d.tolist())
+    ]
+
+
+def _block_grid(grid: np.ndarray, params: StatParams) -> np.ndarray:
+    """View of the full blocks as (block row, block col, rows, cols); edge remainders left out."""
+    bh, bw = params.block_rows, params.block_cols
+    rows, cols = grid.shape[0] // bh, grid.shape[1] // bw
+    return grid[: rows * bh, : cols * bw].reshape(rows, bh, cols, bw).transpose(0, 2, 1, 3)
 
 
 def embed_bit(block: CarrierBlock, pattern: KeyPattern, k: int, bit: int) -> CarrierBlock:
@@ -221,10 +297,8 @@ def embed_bit(block: CarrierBlock, pattern: KeyPattern, k: int, bit: int) -> Car
         raise ValueError(f"strength k must be a positive integer, got {k}")
     if bit == 0:
         return block
-    mask = np.frombuffer(pattern.bits, dtype=np.uint8).astype(bool)
     values = np.frombuffer(block.values, dtype=np.uint8)
-    raised = np.minimum(values.astype(np.int32) + k, 255).astype(np.uint8)
-    marked = np.where(mask, raised, values)
+    marked = _raise_rows(values[None, :], _mask(pattern), k)
     return CarrierBlock(index=block.index, values=marked.tobytes(), shape=block.shape)
 
 
@@ -239,20 +313,8 @@ def statistic(block: CarrierBlock, pattern: KeyPattern) -> DetectionStatistic:
     half = len(block.values) // 2
     if half < 2:
         raise BlockTooSmallError(f"need at least 2 values per set, block has {half}")
-    mask = np.frombuffer(pattern.bits, dtype=np.uint8).astype(bool)
-    values = np.frombuffer(block.values, dtype=np.uint8).astype(np.float64)
-    c = values[mask]
-    d = values[~mask]
-    mean_c = float(c.mean())
-    mean_d = float(d.mean())
-    sigma_hat = math.sqrt((float(c.var(ddof=1)) + float(d.var(ddof=1))) / half)
-    if sigma_hat > 0.0:
-        q = (mean_c - mean_d) / sigma_hat
-    elif mean_c == mean_d:
-        q = 0.0
-    else:
-        q = math.copysign(math.inf, mean_c - mean_d)
-    return DetectionStatistic(q=q, sigma_hat=sigma_hat, mean_c=mean_c, mean_d=mean_d)
+    values = np.frombuffer(block.values, dtype=np.uint8)
+    return _statistics(values[_c_first(pattern)][None, :])[0]
 
 
 def detect_bit(stat: DetectionStatistic, params: StatParams) -> int:
@@ -263,11 +325,6 @@ def detect_bit(stat: DetectionStatistic, params: StatParams) -> int:
 def block_capacity(carrier: Carrier, params: StatParams) -> int:
     """Number of full blocks in row-major block order; edge remainders are skipped."""
     return (carrier.height // params.block_rows) * (carrier.width // params.block_cols)
-
-
-def _block_origin(carrier: Carrier, params: StatParams, index: int) -> tuple[int, int]:
-    per_row = carrier.width // params.block_cols
-    return (index // per_row) * params.block_rows, (index % per_row) * params.block_cols
 
 
 def _require_capacity(carrier: Carrier, params: StatParams, needed: int) -> None:
@@ -281,38 +338,43 @@ def _require_capacity(carrier: Carrier, params: StatParams, needed: int) -> None
 def embed_message(carrier: Carrier, key: bytes, bits: MessageLayout, params: StatParams) -> Carrier:
     """Embed one bit per block; blocks past the message and edge remainders stay bit-identical."""
     _require_capacity(carrier, params, bits.block_count)
-    pattern = derive_pattern(key, params.block_len)
-    mask = np.frombuffer(pattern.bits, dtype=np.uint8).astype(bool).reshape(params.block_rows, params.block_cols)
+    mask = _mask(derive_pattern(key, params.block_len))
     grid = carrier.as_array().copy()
-    for index, bit in enumerate(bits.message_bits):
-        if bit == 0:
-            continue
-        r, c = _block_origin(carrier, params, index)
-        window = grid[r : r + params.block_rows, c : c + params.block_cols]
-        raised = np.minimum(window.astype(np.int32) + params.k, 255).astype(np.uint8)
-        window[...] = np.where(mask, raised, window)
+    blocks = _block_grid(grid, params)  # a view: writing to it writes the grid
+    marked = np.flatnonzero(np.frombuffer(bytes(bits.message_bits), dtype=np.uint8))
+    at = np.divmod(marked, blocks.shape[1])
+    rows = blocks[at].reshape(len(marked), params.block_len)
+    blocks[at] = _raise_rows(rows, mask, params.k).reshape(-1, params.block_rows, params.block_cols)
     return Carrier(width=carrier.width, height=carrier.height, pixels=grid.tobytes())
+
+
+def _detection_rows(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> np.ndarray:
+    """The first bit_count blocks, one C-first row each."""
+    if bit_count < 0:
+        raise ValueError(f"bit count must be non-negative, got {bit_count}")
+    _require_capacity(carrier, params, bit_count)
+    r, c = np.divmod(_c_first(derive_pattern(key, params.block_len)), params.block_cols)
+    blocks = _block_grid(carrier.as_array(), params)
+    return blocks[:, :, r, c].reshape(-1, params.block_len)[:bit_count]
 
 
 def block_statistics(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> list[DetectionStatistic]:
     """Per-block detection statistics for the first bit_count blocks."""
-    if bit_count < 0:
-        raise ValueError(f"bit count must be non-negative, got {bit_count}")
-    _require_capacity(carrier, params, bit_count)
-    pattern = derive_pattern(key, params.block_len)
-    grid = carrier.as_array()
-    stats = []
-    for index in range(bit_count):
-        r, c = _block_origin(carrier, params, index)
-        window = grid[r : r + params.block_rows, c : c + params.block_cols]
-        block = CarrierBlock(index=index, values=window.tobytes(), shape=(params.block_rows, params.block_cols))
-        stats.append(statistic(block, pattern))
-    return stats
+    return _statistics(_detection_rows(carrier, key, bit_count, params))
+
+
+def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> tuple[np.ndarray, np.ndarray]:
+    """q (float64) and the detected bit (uint8) of each of the first bit_count blocks.
+
+    The batched form of statistic and detect_bit, with z_alpha computed once.
+    """
+    q = _q(*_moments(_detection_rows(carrier, key, bit_count, params)), params.block_len // 2)
+    return q, (q > params.z_alpha).astype(np.uint8)
 
 
 def extract_message(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> list[int]:
     """Recover bit_count bits by testing each block's statistic."""
-    return [detect_bit(stat, params) for stat in block_statistics(carrier, key, bit_count, params)]
+    return detect_blocks(carrier, key, bit_count, params)[1].tolist()
 
 
 # Inverse standard normal CDF, Acklam's rational approximation.  Relative

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pe_builder import SectionPlan, build_pe
 from oracles import byte_diff_offsets
@@ -251,6 +255,53 @@ class TestStatCommands:
         code, _, err = run(capsys, "stat-extract", "--in", carrier_pgm, "--key", "k", "--bits", 1, "--block", "3x3")
         assert code == 2
         assert "odd" in err
+
+
+@pytest.mark.parametrize("command", ["stat-embed", "stat-extract"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--block", "2x1"), "too small"), (("--alpha", "1e-17"), "too small")],
+    ids=["block-2x1", "alpha-1e-17"],
+)
+def test_stat_commands_refuse_infeasible_params_alike(capsys, tmp_path, carrier_pgm, command, flags, message):
+    bits = tmp_path / "bits.txt"
+    bits.write_text("1")
+    io_flags = ("--payload", bits, "--out", tmp_path / "o.pgm") if command == "stat-embed" else ("--bits", 1)
+    code, _, err = run(capsys, command, "--in", carrier_pgm, "--key", "k", *io_flags, *flags)
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "o.pgm").exists()
+
+
+@pytest.fixture(scope="module")
+def stat_files(tmp_path_factory):
+    """A 64x64 PGM carrier and a one-bit message, shared by the examples of a property."""
+    folder = tmp_path_factory.mktemp("stat")
+    rng = np.random.default_rng(78)
+    write_pgm(str(folder / "carrier.pgm"), Carrier(64, 64, rng.integers(0, 16, size=64 * 64, dtype=np.uint8).tobytes()))
+    (folder / "bits.txt").write_text("1")
+    return folder
+
+
+def quiet_main(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+@given(
+    block=st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda wh: f"{wh[0]}x{wh[1]}"),
+    alpha=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-17, 2.0**-53, 2.0**-54, 5e-324, 1 - 2.0**-53])),
+    k=st.one_of(st.integers(-2, 400), st.integers(2**31, 2**70)),
+)
+@example(block="2x1", alpha=0.05, k=10)
+@example(block="8x8", alpha=1e-17, k=10)
+def test_stat_extract_accepts_what_stat_embed_accepts(stat_files, block, alpha, k):
+    common = ("--in", stat_files / "carrier.pgm", "--key", "k", "--block", block, "--alpha", repr(alpha))
+    out = stat_files / "stego.pgm"
+    code = quiet_main("stat-embed", *common, "--k", k, "--payload", stat_files / "bits.txt", "--out", out)
+    assert code in (0, 2, 7)
+    if code == 0:
+        assert quiet_main("stat-extract", *common, "--bits", 1) == 0
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -31,6 +31,7 @@ from pestego import (
     split_block,
     statistic,
 )
+from pestego.statstego import detect_blocks
 
 
 def balanced_patterns(length: int):
@@ -204,6 +205,13 @@ class TestParams:
             StatParams(alpha=1.5)
         with pytest.raises(ValueError):
             StatParams(block_rows=0)
+        with pytest.raises(BlockTooSmallError):
+            StatParams(block_rows=1, block_cols=2)
+        with pytest.raises(ValueError, match="overflow"):
+            StatParams(block_rows=4096, block_cols=4098)
+        with pytest.raises(ValueError, match="too small"):
+            StatParams(alpha=1e-17)
+        assert StatParams(block_rows=4096, block_cols=4096).block_len == 1 << 24
 
     def test_layout_from_text(self):
         assert MessageLayout.from_text(" 01\n10 ").message_bits == (0, 1, 1, 0)
@@ -286,6 +294,108 @@ class TestMessage:
         bits = extract_message(carrier, b"k", 16, params)
         stats = block_statistics(carrier, b"k", 16, params)
         assert bits == [detect_bit(s, params) for s in stats]
+
+
+def block_shapes():
+    """(rows, cols) of every block StatParams accepts, up to 8x8."""
+    return st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(lambda s: s[0] * s[1] % 2 == 0 and s[0] * s[1] >= 4)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A carrier with edge remainders, its params and a key; pixels are often near 0 or 255."""
+    bh, bw = draw(block_shapes())
+    width = bw * draw(st.integers(0, 5)) + draw(st.integers(0, bw - 1))
+    height = bh * draw(st.integers(0, 5)) + draw(st.integers(0, bh - 1))
+    low, high = draw(st.sampled_from([(0, 256), (0, 2), (250, 256), (7, 8)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    carrier = uniform_carrier(rng, max(width, 1), max(height, 1), high=high - low)
+    carrier = Carrier(carrier.width, carrier.height, (carrier.as_array() + low).tobytes())
+    params = StatParams(block_rows=bh, block_cols=bw, k=draw(st.integers(1, 300)), alpha=0.01)
+    return carrier, params, draw(st.binary(max_size=8))
+
+
+def loop_blocks(carrier: Carrier, params: StatParams):
+    """(index, row, col) of every full block, row-major, the long way."""
+    index = 0
+    for r in range(0, carrier.height - params.block_rows + 1, params.block_rows):
+        for c in range(0, carrier.width - params.block_cols + 1, params.block_cols):
+            yield index, r, c
+            index += 1
+
+
+def one_block(grid: np.ndarray, params: StatParams, index: int, r: int, c: int) -> CarrierBlock:
+    window = grid[r : r + params.block_rows, c : c + params.block_cols]
+    return CarrierBlock(index, window.tobytes(), (params.block_rows, params.block_cols))
+
+
+class TestBlockKernel:
+    """The batched kernel against one-row calls, the oracle and the old per-block loops."""
+
+    @given(case=kernel_cases())
+    @example(case=(uniform_carrier(np.random.default_rng(4), 26, 13), StatParams(4, 6, alpha=0.01), b"k"))
+    @example(case=(uniform_carrier(np.random.default_rng(5), 9, 3), StatParams(1, 4, alpha=0.01), b"k"))
+    def test_batched_q_matches_one_row_and_oracle(self, case):
+        carrier, params, key = case
+        n = block_capacity(carrier, params)
+        pattern = derive_pattern(key, params.block_len)
+        q, bits = detect_blocks(carrier, key, n, params)
+        stats = block_statistics(carrier, key, n, params)
+        assert q.dtype == np.float64 and bits.dtype == np.uint8 and len(q) == len(stats) == n
+        grid = carrier.as_array()
+        for index, r, c in loop_blocks(carrier, params):
+            block = one_block(grid, params, index, r, c)
+            one = statistic(block, pattern)
+            assert stats[index] == one
+            assert q[index] == one.q
+            assert bits[index] == detect_bit(one, params)
+            expected = oracles.q_statistic(list(block.values), pattern.bits)
+            if math.isinf(expected):
+                assert one.q == expected
+            else:
+                assert one.q == pytest.approx(expected, abs=1e-9)
+
+    @given(
+        shape=block_shapes(),
+        levels=st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), min_size=1, max_size=6),
+    )
+    @example(shape=(4, 6), levels=[(0, 0), (255, 0), (3, 200)])
+    def test_constant_halves_give_zero_or_infinity(self, shape, levels):
+        """Blocks whose C and D halves are each constant, at levels (C, D)."""
+        bh, bw = shape
+        params = StatParams(block_rows=bh, block_cols=bw)
+        mask = np.frombuffer(derive_pattern(b"k", params.block_len).bits, dtype=np.uint8).astype(bool)
+        tiles = [np.where(mask, c, d).astype(np.uint8).reshape(bh, bw) for c, d in levels]
+        carrier = Carrier(bw * len(tiles), bh, np.hstack(tiles).tobytes())
+        q, _ = detect_blocks(carrier, b"k", len(tiles), params)
+        expected = [0.0 if c == d else math.copysign(math.inf, c - d) for c, d in levels]
+        assert q.tolist() == expected
+
+    @given(case=kernel_cases(), data=st.data())
+    def test_embed_message_matches_embed_bit_loop(self, case, data):
+        carrier, params, key = case
+        n = block_capacity(carrier, params)
+        message = tuple(data.draw(st.lists(st.integers(0, 1), max_size=n)))
+        out = embed_message(carrier, key, MessageLayout(message), params)
+        pattern = derive_pattern(key, params.block_len)
+        grid = carrier.as_array().copy()
+        for index, r, c in loop_blocks(carrier, params):
+            if index < len(message):
+                marked = embed_bit(one_block(grid, params, index, r, c), pattern, params.k, message[index])
+                grid[r : r + params.block_rows, c : c + params.block_cols] = np.frombuffer(
+                    marked.values, dtype=np.uint8
+                ).reshape(params.block_rows, params.block_cols)
+        assert out.pixels == grid.tobytes()
+        before, after = carrier.as_array(), out.as_array()
+        full_h = carrier.height - carrier.height % params.block_rows
+        full_w = carrier.width - carrier.width % params.block_cols
+        assert np.array_equal(before[full_h:], after[full_h:])
+        assert np.array_equal(before[:, full_w:], after[:, full_w:])
+
+    def test_saturation_at_255(self):
+        carrier = Carrier(8, 8, bytes([250]) * 64)
+        out = embed_message(carrier, b"k", MessageLayout((1,)), StatParams(k=300))
+        assert sorted(set(out.pixels)) == [250, 255]
 
 
 class TestDistributions:
