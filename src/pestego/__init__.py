@@ -36,24 +36,38 @@ from .pe_format import (
     section_slack,
     serialize,
 )
-from .statstego import (
-    Carrier,
-    CarrierBlock,
-    DetectionStatistic,
-    KeyPattern,
-    MessageLayout,
-    StatParams,
-    block_capacity,
-    block_statistics,
-    derive_pattern,
-    detect_bit,
-    embed_bit,
-    embed_message,
-    extract_message,
-    normal_quantile,
-    split_block,
-    statistic,
+
+# The statistical names load numpy, which the PE side never needs, so
+# ``statstego`` is imported on first use of one of them (PEP 562).
+_STATSTEGO_NAMES = frozenset(
+    {
+        "Carrier",
+        "CarrierBlock",
+        "DetectionStatistic",
+        "KeyPattern",
+        "MessageLayout",
+        "StatParams",
+        "block_capacity",
+        "block_statistics",
+        "derive_pattern",
+        "detect_bit",
+        "embed_bit",
+        "embed_message",
+        "extract_message",
+        "normal_quantile",
+        "split_block",
+        "statistic",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _STATSTEGO_NAMES:
+        from . import statstego
+
+        return getattr(statstego, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

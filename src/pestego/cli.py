@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import pgm
 from .errors import (
     CarrierTooSmallError,
     CorruptPayloadError,
@@ -21,16 +21,15 @@ from .errors import (
     SlackOccupiedError,
     UnsafeNameError,
 )
+from .fileio import write_atomic
 from .integrity import compare
 from .payload import capacity, hide, retract, write_extracted_file
 from .pe_format import header_slack, parse_pe, section_slack, serialize
-from .statstego import (
-    Carrier,
-    MessageLayout,
-    StatParams,
-    detect_blocks,
-    embed_message,
-)
+
+# The stat-* commands import pgm and statstego, and with them numpy, inside
+# the functions that need them, so the PE commands start without numpy.
+if TYPE_CHECKING:
+    from .statstego import Carrier, StatParams
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -75,11 +74,15 @@ def _load_image(path: str, strict: bool):
 
 
 def _stat_params(args) -> StatParams:
+    from . import statstego
+
     block_w, block_h = _parse_dims(args.block)
-    return StatParams(block_rows=block_h, block_cols=block_w, k=args.k, alpha=args.alpha)
+    return statstego.StatParams(block_rows=block_h, block_cols=block_w, k=args.k, alpha=args.alpha)
 
 
 def _read_carrier(args) -> Carrier:
+    from . import pgm
+
     if args.raw:
         w, h = _parse_dims(args.raw)
         return pgm.read_raw(args.infile, w, h)
@@ -87,6 +90,8 @@ def _read_carrier(args) -> Carrier:
 
 
 def _write_carrier(args, path: str, carrier: Carrier) -> None:
+    from . import pgm
+
     if args.raw:
         pgm.write_raw(path, carrier)
     else:
@@ -139,8 +144,7 @@ def cmd_embed(args) -> int:
     data = _read_file(args.payload)
     name = args.name if args.name is not None else os.path.basename(args.payload)
     stego = hide(image, name, data, force=args.force)
-    with open(args.outfile, "wb") as fh:
-        fh.write(serialize(stego))
+    write_atomic(args.outfile, serialize(stego))
     slack = header_slack(image)
     record_len = capacity(image, name).overhead + len(data)
     print(f'hid "{name}" ({len(data)} data bytes, {record_len} record bytes) at 0x{slack.offset:X}')
@@ -163,19 +167,20 @@ def cmd_verify(args) -> int:
     for line in report.summary_lines():
         print(line)
     if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(report.to_kv())
+        write_atomic(args.outfile, report.to_kv().encode("utf-8"))
         print(f"wrote {args.outfile}")
     return EXIT_OK if report.diff_confined_to_slack else EXIT_CHECK_FAILED
 
 
 def cmd_stat_embed(args) -> int:
+    from . import statstego
+
     params = _stat_params(args)
     carrier = _read_carrier(args)
     with open(args.payload, "r", encoding="utf-8") as fh:
-        layout = MessageLayout.from_text(fh.read())
+        layout = statstego.MessageLayout.from_text(fh.read())
     key = _parse_key(args.key)
-    stego = embed_message(carrier, key, layout, params)
+    stego = statstego.embed_message(carrier, key, layout, params)
     _write_carrier(args, args.outfile, stego)
     print(
         f"embedded {layout.block_count} bits into {params.block_cols}x{params.block_rows} blocks"
@@ -186,10 +191,12 @@ def cmd_stat_embed(args) -> int:
 
 
 def cmd_stat_extract(args) -> int:
+    from . import statstego
+
     params = _stat_params(args)
     carrier = _read_carrier(args)
     key = _parse_key(args.key)
-    q, bits = detect_blocks(carrier, key, args.bits, params)
+    q, bits = statstego.detect_blocks(carrier, key, args.bits, params)
     q, bits = q.tolist(), bits.tolist()
     if args.csv:
         lines = ["block,q,bit"] + [f"{i},{qi!r},{bit}" for i, (qi, bit) in enumerate(zip(q, bits))]

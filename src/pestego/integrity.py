@@ -9,9 +9,8 @@ for it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import PeFormatError
 from .pe_format import Region, header_slack, parse_pe
@@ -54,18 +53,32 @@ class EquivalenceReport:
         return "\n".join(lines) + "\n"
 
 
+_CHUNK = 1 << 16
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
+
+
 def _diff_regions(before: bytes, after: bytes) -> list[Region]:
-    """Maximal runs of differing bytes; a length mismatch adds the tail as one run."""
+    """Maximal runs of differing bytes; a length mismatch adds the tail as one run.
+
+    Equal 64 KiB chunks are skipped with one memcmp.  A differing chunk is
+    XORed as two big integers, and the nonzero runs of the XOR are the
+    differing runs; a run that ends at a chunk edge joins one that starts there.
+    """
     n = min(len(before), len(after))
-    a = np.frombuffer(before, dtype=np.uint8, count=n)
-    b = np.frombuffer(after, dtype=np.uint8, count=n)
-    idx = np.flatnonzero(a != b)
-    regions: list[Region] = []
-    if idx.size:
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-        ends = np.concatenate((idx[breaks], [idx[-1]]))
-        regions = [Region(int(s), int(e - s + 1)) for s, e in zip(starts, ends)]
+    runs: list[list[int]] = []
+    for base in range(0, n, _CHUNK):
+        top = min(base + _CHUNK, n)
+        a, b = before[base:top], after[base:top]
+        if a == b:
+            continue
+        xor = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(top - base, "little")
+        for match in _NONZERO_RUN.finditer(xor):
+            start, end = base + match.start(), base + match.end()
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = end
+            else:
+                runs.append([start, end])
+    regions = [Region(start, end - start) for start, end in runs]
     if len(before) != len(after):
         regions.append(Region(n, max(len(before), len(after)) - n))
     return regions

@@ -28,6 +28,7 @@ from .errors import (
     SlackOccupiedError,
     UnsafeNameError,
 )
+from .fileio import write_atomic
 from .pe_format import PeImage, Region, header_slack, parse_pe, serialize
 
 MAGIC = b"SPE1"
@@ -176,9 +177,11 @@ def safe_file_name(name: str) -> str:
 
 
 def write_extracted_file(name: str, data: bytes, out_dir: str) -> str:
-    """Write recovered payload data to ``out_dir/name`` and return the path."""
+    """Write recovered payload data to ``out_dir/name`` and return the path.
+
+    An existing file of that name is replaced, whole or not at all.
+    """
     path = os.path.join(out_dir, safe_file_name(name))
     os.makedirs(out_dir, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_atomic(path, data)
     return path

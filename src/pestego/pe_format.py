@@ -52,9 +52,6 @@ class Region:
     def end(self) -> int:
         return self.offset + self.length
 
-    def contains_offset(self, offset: int) -> bool:
-        return self.offset <= offset < self.end
-
     def contains(self, other: "Region") -> bool:
         return self.offset <= other.offset and other.end <= self.end
 
@@ -145,9 +142,6 @@ class PeImage:
         if offset < 0 or offset + len(payload) > len(self._data):
             raise ValueError(f"write [{offset}, {offset + len(payload)}) outside file of {len(self._data)} bytes")
         self._data[offset : offset + len(payload)] = payload
-
-    def to_bytes(self) -> bytes:
-        return bytes(self._data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeImage):
@@ -279,7 +273,7 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
 
 def serialize(image: PeImage) -> bytes:
     """Emit the retained raw bytes with all in-place edits applied."""
-    return image.to_bytes()
+    return bytes(image._data)
 
 
 def rva_to_va(image_base: int, rva: int) -> int:

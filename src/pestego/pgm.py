@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .fileio import write_atomic
 from .statstego import Carrier
 
 
@@ -57,8 +58,7 @@ def read_pgm(path: str) -> Carrier:
 
 
 def write_pgm(path: str, carrier: Carrier) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_pgm(carrier))
+    write_atomic(path, encode_pgm(carrier))
 
 
 def read_raw(path: str, width: int, height: int) -> Carrier:
@@ -71,5 +71,4 @@ def read_raw(path: str, width: int, height: int) -> Carrier:
 
 
 def write_raw(path: str, carrier: Carrier) -> None:
-    with open(path, "wb") as fh:
-        fh.write(carrier.pixels)
+    write_atomic(path, carrier.pixels)

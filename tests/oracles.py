@@ -60,3 +60,24 @@ def byte_diff_offsets(a: bytes, b: bytes) -> list[int]:
     """Offsets where two equal-length byte strings differ."""
     assert len(a) == len(b)
     return [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+
+
+def diff_runs(a: bytes, b: bytes) -> list[tuple[int, int]]:
+    """(offset, length) of each maximal run of differing bytes, one byte at a time.
+
+    A length mismatch adds the tail of the longer input as one more run.
+    """
+    runs: list[tuple[int, int]] = []
+    start = None
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y and start is None:
+            start = i
+        elif x == y and start is not None:
+            runs.append((start, i - start))
+            start = None
+    n = min(len(a), len(b))
+    if start is not None:
+        runs.append((start, n - start))
+    if len(a) != len(b):
+        runs.append((n, max(len(a), len(b)) - n))
+    return runs

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 
@@ -107,12 +108,14 @@ class TestEmbedExtract:
         big.write_bytes(bytes(4096))
         code, _, err = run(capsys, "embed", "--in", cover, "--payload", big, "--out", tmp_path / "s.exe")
         assert code == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.bin", "cover.exe"]
 
     def test_repeat_needs_force(self, capsys, tmp_path, cover, payload_file):
         stego = tmp_path / "stego.exe"
         assert run(capsys, "embed", "--in", cover, "--payload", payload_file, "--out", stego)[0] == 0
         code, _, _ = run(capsys, "embed", "--in", stego, "--payload", payload_file, "--out", tmp_path / "s2.exe")
         assert code == 4
+        assert not (tmp_path / "s2.exe").exists()
         code, _, _ = run(
             capsys, "embed", "--in", stego, "--payload", payload_file, "--out", tmp_path / "s2.exe", "--force"
         )
@@ -130,6 +133,16 @@ class TestEmbedExtract:
         stego.write_bytes(bytes(data))
         code, _, _ = run(capsys, "extract", "--in", stego, "--out", tmp_path / "out")
         assert code == 6
+
+    def test_extract_replaces_existing_file(self, capsys, tmp_path, cover, payload_file):
+        stego = tmp_path / "stego.exe"
+        run(capsys, "embed", "--in", cover, "--payload", payload_file, "--out", stego)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "secret.bin").write_bytes(b"older and longer than the payload" * 4)
+        assert run(capsys, "extract", "--in", stego, "--out", outdir)[0] == 0
+        assert [p.name for p in outdir.iterdir()] == ["secret.bin"]
+        assert (outdir / "secret.bin").read_bytes() == payload_file.read_bytes()
 
     def test_custom_name(self, capsys, tmp_path, cover, payload_file):
         stego = tmp_path / "stego.exe"
@@ -302,6 +315,32 @@ def test_stat_extract_accepts_what_stat_embed_accepts(stat_files, block, alpha, 
     assert code in (0, 2, 7)
     if code == 0:
         assert quiet_main("stat-extract", *common, "--bits", 1) == 0
+
+
+@pytest.mark.parametrize("command", ["embed", "extract", "stat-embed", "verify"])
+def test_failed_write_leaves_outputs_untouched(monkeypatch, capsys, tmp_path, cover, payload_file, carrier_pgm, command):
+    stego = tmp_path / "stego.exe"
+    assert run(capsys, "embed", "--in", cover, "--payload", payload_file, "--out", stego)[0] == 0
+    bits = tmp_path / "bits.txt"
+    bits.write_text("1010")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "secret.bin").write_bytes(b"old")  # the file extract would replace
+    argv = {
+        "embed": ("embed", "--in", cover, "--payload", payload_file, "--out", out / "new"),
+        "extract": ("extract", "--in", stego, "--out", out),
+        "stat-embed": ("stat-embed", "--in", carrier_pgm, "--key", "k", "--payload", bits, "--out", out / "new"),
+        "verify": ("verify", cover, stego, "--out", out / "new"),
+    }[command]
+
+    def fail(src, dst):
+        raise OSError("simulated failure after the data was written")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "simulated failure" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {"secret.bin": b"old"}
 
 
 class TestDeterminism:

@@ -1,0 +1,76 @@
+"""The PE side of pestego runs without importing numpy.
+
+Each check runs in a fresh interpreter, because this test process has
+already imported numpy through other tests.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from pe_builder import build_pe
+
+import pestego
+
+NUMPY_LOADED = "print('numpy' in sys.modules)"
+
+
+def run_python(code: str, cwd: Path) -> list[str]:
+    """Run ``code`` in a new interpreter that sees pestego and the test helpers; return its stdout lines."""
+    paths = [str(Path(pestego.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code], capture_output=True, text=True, cwd=cwd, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.fixture
+def pe_files(tmp_path):
+    (tmp_path / "cover.exe").write_bytes(build_pe(header_slack=0x88).data)
+    (tmp_path / "secret.bin").write_bytes(bytes(range(50)))
+    return tmp_path
+
+
+PE_COMMANDS = """
+from pestego.cli import main
+assert main(["inspect", "--in", "cover.exe"]) == 0
+assert main(["capacity", "--in", "cover.exe", "--name", "secret.bin"]) == 0
+assert main(["embed", "--in", "cover.exe", "--payload", "secret.bin", "--out", "stego.exe"]) == 0
+assert main(["extract", "--in", "stego.exe", "--out", "out"]) == 0
+assert main(["verify", "cover.exe", "stego.exe", "--out", "report.txt"]) == 0
+"""
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import pestego.cli", "from pestego import parse_pe, hide, compare", PE_COMMANDS],
+    ids=["import-cli", "import-pe-names", "pe-commands"],
+)
+def test_pe_side_does_not_import_numpy(pe_files, code):
+    assert run_python(code + "\n" + NUMPY_LOADED, pe_files)[-1] == "False"
+
+
+def test_stat_side_loads_on_first_use(tmp_path):
+    (tmp_path / "carrier.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+    code = """
+from pestego.cli import main
+assert main(["stat-extract", "--in", "carrier.pgm", "--key", "k", "--bits", "2"]) == 0
+from pestego import Carrier, statistic
+import pestego.statstego
+assert Carrier is pestego.statstego.Carrier and statistic is pestego.statstego.statistic
+"""
+    lines = run_python(code + NUMPY_LOADED, tmp_path)
+    assert lines[0].startswith("bits: ")
+    assert lines[-1] == "True"
+
+
+def test_unknown_attribute():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pestego.no_such_name  # noqa: B018

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from oracles import diff_runs
 from pe_builder import build_pe
 
 from pestego import (
@@ -14,6 +19,7 @@ from pestego import (
     serialize,
     validate_pe,
 )
+from pestego.integrity import _diff_regions
 
 
 def stego_bytes(built, name="p.bin", data=bytes(range(40))):
@@ -93,6 +99,45 @@ class TestCompare:
                 continue
             report = compare(built.data, serialize(hide(image, "f", bytes(min(usable, 32)))))
             assert report.diff_confined_to_slack, built.header_slack_length
+
+
+CHUNK = 1 << 16
+EDGES = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1)
+
+
+@st.composite
+def byte_pairs(draw):
+    """Random bytes and a copy with XOR edits, often at 64 KiB chunk edges, and maybe resized."""
+    size = draw(st.one_of(st.sampled_from(EDGES), st.integers(0, 64), st.integers(0, 2 * CHUNK + 64)))
+    before = random.Random(draw(st.integers(0, 2**32))).randbytes(size)
+    after = bytearray(before)
+    near_edge = st.tuples(st.sampled_from(EDGES), st.integers(-3, 3)).map(sum)
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.one_of(near_edge, st.integers(0, max(size - 1, 0))))
+        length = draw(st.one_of(st.integers(1, 4), st.integers(1, 300)))
+        flip = draw(st.integers(1, 255))
+        for i in range(max(start, 0), min(start + length, size)):
+            after[i] ^= flip
+    resize = draw(st.integers(-70, 70))
+    after = bytes(after[: size + resize]) if resize < 0 else bytes(after) + bytes(range(resize))
+    return (after, before) if draw(st.booleans()) else (before, after)
+
+
+class TestDiffRegions:
+    @given(byte_pairs())
+    @example((b"", b""))
+    @example((b"", b"xyz"))
+    @example((b"abc", b""))
+    @example((bytes(2 * CHUNK + 5), bytes(2 * CHUNK + 5)))
+    @example((bytes(2 * CHUNK + 5), b"\xff" * (2 * CHUNK + 5)))
+    @example((bytes(2 * CHUNK), bytes(CHUNK - 2) + b"\x01\x01" + bytes(CHUNK)))
+    @example((bytes(2 * CHUNK), bytes(CHUNK) + b"\x01\x01" + bytes(CHUNK - 2)))
+    @example((bytes(2 * CHUNK), bytes(CHUNK - 1) + b"\x01" * (CHUNK + 2) + bytes(CHUNK - 1)))
+    @example((bytes(CHUNK + 1), bytes(CHUNK - 1) + b"\x01"))
+    @example((bytes(CHUNK + 1), bytes(CHUNK) + b"\x01"))
+    def test_matches_byte_loop(self, pair):
+        before, after = pair
+        assert [(r.offset, r.length) for r in _diff_regions(before, after)] == diff_runs(before, after)
 
 
 class TestReportFormats:
