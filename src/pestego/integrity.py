@@ -10,19 +10,18 @@ for it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import PeFormatError
 from .pe_format import Region, header_slack, parse_pe
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     identical_headers: bool
     identical_section_table: bool
     diff_regions: list[Region]
     diff_confined_to_slack: bool
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -111,7 +110,7 @@ def compare(before: bytes, after: bytes) -> EquivalenceReport:
         identical_section_table=identical_section_table,
         diff_regions=regions,
         diff_confined_to_slack=confined,
-        notes=notes,
+        notes=tuple(notes),
     )
 
 

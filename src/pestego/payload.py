@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CorruptPayloadError,
@@ -45,8 +45,7 @@ def _encode_name(name: str) -> bytes:
     return encoded
 
 
-@dataclass(frozen=True)
-class PayloadRecord:
+class PayloadRecord(NamedTuple):
     """A named payload plus the framing needed to find it again."""
 
     name: str
@@ -102,8 +101,7 @@ class PayloadRecord:
         return cls(name=name, data=bytes(data))
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     """How much payload data fits in a file's header slack for one name."""
 
     region: Region

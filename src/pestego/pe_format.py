@@ -1,16 +1,17 @@
 """32-bit PE parsing with lossless re-serialization and slack arithmetic.
 
 The parser keeps the complete original byte sequence alongside the decoded
-headers, so ``serialize(parse_pe(b)) == b`` for every accepted input.  Edits
-are applied in place through :meth:`PeImage.write` and never change the file
-length.  Only PE32 (optional-header magic 0x10B) is accepted; PE32+ is
-rejected.  All multi-byte integers are little-endian per the on-disk format.
+headers, so ``serialize(parse_pe(b)) == b`` for every accepted input.  A
+``bytes`` input is kept as it is, without a copy; :meth:`PeImage.write` takes
+a private copy on the first edit, and edits never change the file length.
+Only PE32 (optional-header magic 0x10B) is accepted; PE32+ is rejected.
+All multi-byte integers are little-endian per the on-disk format.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     Not32BitError,
@@ -41,8 +42,7 @@ _OPT_CHECKSUM = 64
 _MIN_OPTIONAL_SIZE = 68
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """Half-open byte span [offset, offset + length) within a file."""
 
     offset: int
@@ -59,14 +59,12 @@ class Region:
         return self.offset < other.end and other.offset < self.end
 
 
-@dataclass(frozen=True)
-class DosHeader:
+class DosHeader(NamedTuple):
     magic: bytes
     e_lfanew: int
 
 
-@dataclass(frozen=True)
-class NtHeaders:
+class NtHeaders(NamedTuple):
     machine: int
     number_of_sections: int
     size_of_optional_header: int
@@ -77,8 +75,7 @@ class NtHeaders:
     checksum: int
 
 
-@dataclass(frozen=True)
-class SectionHeader:
+class SectionHeader(NamedTuple):
     name: bytes  # 8 raw bytes, kept verbatim
     virtual_size: int
     virtual_address: int
@@ -95,16 +92,16 @@ class SectionHeader:
 class PeImage:
     """Parsed model of a 32-bit PE file plus its full raw bytes.
 
-    Instances come from :func:`parse_pe`.  The raw buffer may be edited in
-    place via :meth:`write`; decoded headers are never re-derived after an
-    edit, so callers must not rewrite header bytes (the hiding operations
-    only touch slack).  Safe to hand between threads, not to mutate
-    concurrently.
+    Instances come from :func:`parse_pe`.  The raw buffer is immutable
+    ``bytes`` until the first :meth:`write`, which turns it into a private
+    ``bytearray``; decoded headers are never re-derived after an edit, so
+    callers must not rewrite header bytes (the hiding operations only touch
+    slack).  Safe to hand between threads, not to mutate concurrently.
     """
 
     def __init__(
         self,
-        data: bytearray,
+        data: bytes,
         dos_header: DosHeader,
         nt_headers: NtHeaders,
         sections: list[SectionHeader],
@@ -138,9 +135,11 @@ class PeImage:
         return bytes(self._data[offset : offset + length])
 
     def write(self, offset: int, payload: bytes) -> None:
-        """In-place edit; never grows or shrinks the file."""
+        """Edit in place, copying the buffer on the first edit; never grows or shrinks the file."""
         if offset < 0 or offset + len(payload) > len(self._data):
             raise ValueError(f"write [{offset}, {offset + len(payload)}) outside file of {len(self._data)} bytes")
+        if isinstance(self._data, bytes):
+            self._data = bytearray(self._data)
         self._data[offset : offset + len(payload)] = payload
 
     def __eq__(self, other: object) -> bool:
@@ -198,8 +197,11 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
     Raises NotMzError / NotPeError / TruncatedError / Not32BitError on
     malformed input.  Layout oddities (alignment, overlap, truncated section
     data) are collected as warnings on the returned image; ``strict=True``
-    promotes them to StrictParseError.
+    promotes them to StrictParseError.  A ``bytes`` input is kept without a
+    copy; any other buffer is copied once, so the image never aliases it.
     """
+    if type(data) is not bytes:
+        data = memoryview(data).tobytes()
     if len(data) < 2 or data[:2] != DOS_MAGIC:
         raise NotMzError("missing 'MZ' magic at offset 0")
     if len(data) < DOS_HEADER_SIZE:
@@ -210,7 +212,7 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
         raise TruncatedError(f"e_lfanew 0x{e_lfanew:X} points past end of file")
     if data[e_lfanew : e_lfanew + 4] != PE_SIGNATURE:
         raise NotPeError(f"no 'PE\\0\\0' signature at e_lfanew 0x{e_lfanew:X}")
-    dos = DosHeader(magic=bytes(data[:2]), e_lfanew=e_lfanew)
+    dos = DosHeader(magic=data[:2], e_lfanew=e_lfanew)
 
     coff_offset = e_lfanew + 4
     if coff_offset + COFF_HEADER_SIZE > len(data):
@@ -249,7 +251,7 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
         off = table_offset + i * SECTION_HEADER_SIZE
         sections.append(
             SectionHeader(
-                name=bytes(data[off : off + 8]),
+                name=data[off : off + 8],
                 virtual_size=_u32(data, off + 8),
                 virtual_address=_u32(data, off + 12),
                 size_of_raw_data=_u32(data, off + 16),
@@ -262,7 +264,7 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
         raise StrictParseError(warnings)
 
     return PeImage(
-        data=bytearray(data),
+        data=data,
         dos_header=dos,
         nt_headers=nt,
         sections=sections,
@@ -272,7 +274,7 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
 
 
 def serialize(image: PeImage) -> bytes:
-    """Emit the retained raw bytes with all in-place edits applied."""
+    """Emit the retained raw bytes with all edits applied; an unedited image returns its input without a copy."""
     return bytes(image._data)
 
 

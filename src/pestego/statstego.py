@@ -71,7 +71,7 @@ class KeyPattern:
     bits: bytes  # one byte per position, each 0 or 1
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.translate(None, b"\x00\x01"):
             raise ValueError("pattern bits must be 0 or 1")
         if 2 * self.bits.count(1) != len(self.bits):
             raise ValueError("pattern must hold exactly as many ones as zeros")
@@ -182,7 +182,7 @@ class MessageLayout:
     message_bits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.message_bits):
+        if self.message_bits.count(0) + self.message_bits.count(1) != len(self.message_bits):
             raise ValueError("message bits must be 0 or 1")
 
     @property
@@ -193,9 +193,9 @@ class MessageLayout:
     def from_text(cls, text: str) -> "MessageLayout":
         """Parse '0'/'1' characters, ignoring whitespace."""
         stripped = "".join(text.split())
-        if not all(c in "01" for c in stripped):
+        if not set(stripped) <= {"0", "1"}:
             raise ValueError("message text may only contain 0, 1 and whitespace")
-        return cls(tuple(int(c) for c in stripped))
+        return cls(tuple(stripped.encode("ascii").translate(bytes.maketrans(b"01", b"\x00\x01"))))
 
     def to_text(self) -> str:
         return "".join(str(b) for b in self.message_bits)

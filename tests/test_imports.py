@@ -1,4 +1,4 @@
-"""The PE side of pestego runs without importing numpy.
+"""The PE side of pestego runs without importing numpy, dataclasses or inspect.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported numpy through other tests.
@@ -55,6 +55,13 @@ assert main(["verify", "cover.exe", "stego.exe", "--out", "report.txt"]) == 0
 )
 def test_pe_side_does_not_import_numpy(pe_files, code):
     assert run_python(code + "\n" + NUMPY_LOADED, pe_files)[-1] == "False"
+
+
+@pytest.mark.parametrize("code", ["import pestego.cli", PE_COMMANDS], ids=["import-cli", "pe-commands"])
+def test_pe_side_does_not_import_dataclasses(pe_files, code):
+    # measured against the modules loaded at start-up, so a site hook that preloads them cannot fail the test
+    added = "before = set(sys.modules)\n" + code + "\nprint(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    assert run_python(added, pe_files)[-1] == "[]"
 
 
 def test_stat_side_loads_on_first_use(tmp_path):

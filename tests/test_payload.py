@@ -127,6 +127,17 @@ class TestHideRetract:
         hide(image, "p.bin", b"data")
         assert serialize(image) == spec_pe.data
 
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    @pytest.mark.parametrize("edited", [False, True], ids=["fresh", "edited"])
+    def test_input_serialization_unchanged(self, spec_pe, force, edited):
+        image = parse_pe(spec_pe.data)
+        if edited:  # a copied buffer: the last byte lies in section data, outside the slack
+            image.write(len(spec_pe.data) - 1, b"\x5A")
+        before = serialize(image)
+        stego = hide(image, "p.bin", b"data", force=force)
+        assert serialize(image) == before
+        assert serialize(stego) != before
+
     @given(name=names, data=payloads)
     def test_roundtrip_random(self, name, data):
         built = build_pe(header_slack=512, content_seed=3)

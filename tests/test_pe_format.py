@@ -252,3 +252,26 @@ class TestEdits:
             image.write(len(spec_pe.data) - 2, b"\x00\x00\x00")
         with pytest.raises(ValueError):
             image.write(-1, b"\x00")
+
+
+class TestBufferOwnership:
+    def test_bytes_input_is_not_copied(self, spec_pe):
+        data = spec_pe.data
+        assert serialize(parse_pe(data)) is data
+
+    def test_write_copies_before_the_first_edit(self, spec_pe):
+        data = spec_pe.data
+        before = bytearray(data)
+        image, sibling = parse_pe(data), parse_pe(data)
+        image.write(header_slack(image).offset, b"\xAA\xBB")
+        assert data == before
+        assert serialize(sibling) == before
+        assert serialize(image) != before
+
+    @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))], ids=["bytearray", "memoryview"])
+    def test_mutable_input_is_copied(self, spec_pe, wrap):
+        buf = wrap(spec_pe.data)
+        image = parse_pe(buf)
+        buf[: len(buf)] = bytes(len(buf))
+        assert serialize(image) == spec_pe.data
+        assert type(serialize(image)) is bytes
