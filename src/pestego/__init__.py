@@ -23,7 +23,6 @@ from .errors import (
 from .integrity import EquivalenceReport, compare, validate_pe
 from .payload import CapacityReport, PayloadRecord, capacity, hide, retract, write_extracted_file
 from .pe_format import (
-    DosHeader,
     NtHeaders,
     PeImage,
     Region,
@@ -48,14 +47,12 @@ _STATSTEGO_NAMES = frozenset(
         "MessageLayout",
         "StatParams",
         "block_capacity",
-        "block_statistics",
         "derive_pattern",
         "detect_bit",
         "embed_bit",
         "embed_message",
         "extract_message",
         "normal_quantile",
-        "split_block",
         "statistic",
     }
 )
@@ -74,17 +71,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockTooSmallError",
     "CapacityReport",
-    "Carrier",
-    "CarrierBlock",
     "CarrierTooSmallError",
     "CorruptPayloadError",
-    "DetectionStatistic",
-    "DosHeader",
     "EquivalenceReport",
     "InsufficientSlackError",
-    "KeyPattern",
     "LengthMismatchError",
-    "MessageLayout",
     "NameTooLongError",
     "NoPayloadError",
     "Not32BitError",
@@ -99,32 +90,22 @@ __all__ = [
     "Region",
     "SectionHeader",
     "SlackOccupiedError",
-    "StatParams",
     "StrictParseError",
     "TruncatedError",
     "UnmappedRvaError",
     "UnsafeNameError",
-    "block_capacity",
-    "block_statistics",
     "capacity",
     "compare",
-    "derive_pattern",
-    "detect_bit",
-    "embed_bit",
-    "embed_message",
-    "extract_message",
     "file_offset_to_rva",
     "header_slack",
     "hide",
-    "normal_quantile",
     "parse_pe",
     "retract",
     "rva_to_file_offset",
     "rva_to_va",
     "section_slack",
     "serialize",
-    "split_block",
-    "statistic",
     "validate_pe",
     "write_extracted_file",
+    *sorted(_STATSTEGO_NAMES),
 ]

@@ -13,7 +13,7 @@ import re
 from typing import NamedTuple
 
 from .errors import PeFormatError
-from .pe_format import Region, header_slack, parse_pe
+from .pe_format import SECTION_HEADER_SIZE, Region, header_slack, parse_pe
 
 
 class EquivalenceReport(NamedTuple):
@@ -90,7 +90,7 @@ def compare(before: bytes, after: bytes) -> EquivalenceReport:
 
     regions = _diff_regions(before, after)
     header_span = cover.header_end_offset
-    table_start = header_span - 40 * cover.nt_headers.number_of_sections
+    table_start = header_span - SECTION_HEADER_SIZE * cover.nt_headers.number_of_sections
     identical_headers = before[:header_span] == after[:header_span]
     identical_section_table = before[table_start:header_span] == after[table_start:header_span]
 

@@ -105,13 +105,12 @@ class CapacityReport(NamedTuple):
     """How much payload data fits in a file's header slack for one name."""
 
     region: Region
-    total: int
     overhead: int
     usable: int
 
     def lines(self) -> list[str]:
         return [
-            f"slack region:   0x{self.region.offset:X} .. 0x{self.region.end:X} ({self.total} bytes)",
+            f"slack region:   0x{self.region.offset:X} .. 0x{self.region.end:X} ({self.region.length} bytes)",
             f"framing:        {self.overhead} bytes",
             f"usable payload: {self.usable} bytes",
         ]
@@ -121,12 +120,7 @@ def capacity(image: PeImage, name: str) -> CapacityReport:
     """Report the maximum data length that fits for the given file name."""
     overhead = FIXED_OVERHEAD + len(_encode_name(name))
     region = header_slack(image)
-    return CapacityReport(
-        region=region,
-        total=region.length,
-        overhead=overhead,
-        usable=max(0, region.length - overhead),
-    )
+    return CapacityReport(region=region, overhead=overhead, usable=max(0, region.length - overhead))
 
 
 def hide(image: PeImage, name: str, data: bytes, *, force: bool = False) -> PeImage:

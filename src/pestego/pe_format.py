@@ -59,11 +59,6 @@ class Region(NamedTuple):
         return self.offset < other.end and other.offset < self.end
 
 
-class DosHeader(NamedTuple):
-    magic: bytes
-    e_lfanew: int
-
-
 class NtHeaders(NamedTuple):
     machine: int
     number_of_sections: int
@@ -102,14 +97,12 @@ class PeImage:
     def __init__(
         self,
         data: bytes,
-        dos_header: DosHeader,
         nt_headers: NtHeaders,
         sections: list[SectionHeader],
         nt_offset: int,
         warnings: list[str],
     ):
         self._data = data
-        self.dos_header = dos_header
         self.nt_headers = nt_headers
         self.sections = sections
         self.nt_offset = nt_offset
@@ -124,7 +117,8 @@ class PeImage:
         """File offset of the first byte after the section header table."""
         return (
             self.nt_offset
-            + 24
+            + len(PE_SIGNATURE)
+            + COFF_HEADER_SIZE
             + self.nt_headers.size_of_optional_header
             + SECTION_HEADER_SIZE * self.nt_headers.number_of_sections
         )
@@ -212,9 +206,8 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
         raise TruncatedError(f"e_lfanew 0x{e_lfanew:X} points past end of file")
     if data[e_lfanew : e_lfanew + 4] != PE_SIGNATURE:
         raise NotPeError(f"no 'PE\\0\\0' signature at e_lfanew 0x{e_lfanew:X}")
-    dos = DosHeader(magic=data[:2], e_lfanew=e_lfanew)
 
-    coff_offset = e_lfanew + 4
+    coff_offset = e_lfanew + len(PE_SIGNATURE)
     if coff_offset + COFF_HEADER_SIZE > len(data):
         raise TruncatedError("COFF file header extends past end of file")
     machine = _u16(data, coff_offset)
@@ -265,7 +258,6 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
 
     return PeImage(
         data=data,
-        dos_header=dos,
         nt_headers=nt,
         sections=sections,
         nt_offset=e_lfanew,

@@ -76,10 +76,6 @@ class KeyPattern:
         if 2 * self.bits.count(1) != len(self.bits):
             raise ValueError("pattern must hold exactly as many ones as zeros")
 
-    @property
-    def ones(self) -> int:
-        return self.bits.count(1)
-
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -197,31 +193,17 @@ class MessageLayout:
             raise ValueError("message text may only contain 0, 1 and whitespace")
         return cls(tuple(stripped.encode("ascii").translate(bytes.maketrans(b"01", b"\x00\x01"))))
 
-    def to_text(self) -> str:
-        return "".join(str(b) for b in self.message_bits)
-
 
 @dataclass(frozen=True)
 class DetectionStatistic:
     """Standardized C-minus-D mean difference for one block."""
 
     q: float
-    sigma_hat: float
-    mean_c: float
-    mean_d: float
 
 
 def _check_lengths(block: CarrierBlock, pattern: KeyPattern) -> None:
     if len(pattern) != len(block.values):
         raise LengthMismatchError(f"pattern length {len(pattern)} != block length {len(block.values)}")
-
-
-def split_block(block: CarrierBlock, pattern: KeyPattern) -> tuple[bytes, bytes]:
-    """Partition block values into (C, D) by the pattern bits."""
-    _check_lengths(block, pattern)
-    mask = _mask(pattern)
-    values = np.frombuffer(block.values, dtype=np.uint8)
-    return values[mask].tobytes(), values[~mask].tobytes()
 
 
 # The block kernel.  Embedding and detection work on an (n_blocks, block_len)
@@ -270,17 +252,6 @@ def _q(sum_c: np.ndarray, sum_d: np.ndarray, spread: np.ndarray, half: int) -> n
     return np.where(spread > 0, q, np.where(diff == 0, 0.0, np.copysign(np.inf, diff)))
 
 
-def _statistics(rows: np.ndarray) -> list[DetectionStatistic]:
-    half = rows.shape[1] // 2
-    sum_c, sum_d, spread = _moments(rows)
-    q = _q(sum_c, sum_d, spread, half)
-    sigma_hat = np.sqrt(spread) / (half * math.sqrt(half - 1))
-    return [
-        DetectionStatistic(q=qi, sigma_hat=si, mean_c=ci / half, mean_d=di / half)
-        for qi, si, ci, di in zip(q.tolist(), sigma_hat.tolist(), sum_c.tolist(), sum_d.tolist())
-    ]
-
-
 def _block_grid(grid: np.ndarray, params: StatParams) -> np.ndarray:
     """View of the full blocks as (block row, block col, rows, cols); edge remainders left out."""
     bh, bw = params.block_rows, params.block_cols
@@ -314,7 +285,7 @@ def statistic(block: CarrierBlock, pattern: KeyPattern) -> DetectionStatistic:
     if half < 2:
         raise BlockTooSmallError(f"need at least 2 values per set, block has {half}")
     values = np.frombuffer(block.values, dtype=np.uint8)
-    return _statistics(values[_c_first(pattern)][None, :])[0]
+    return DetectionStatistic(q=_q(*_moments(values[_c_first(pattern)][None, :]), half).item())
 
 
 def detect_bit(stat: DetectionStatistic, params: StatParams) -> int:
@@ -349,18 +320,15 @@ def embed_message(carrier: Carrier, key: bytes, bits: MessageLayout, params: Sta
 
 
 def _detection_rows(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> np.ndarray:
-    """The first bit_count blocks, one C-first row each."""
+    """The first bit_count blocks, one C-first row each; only the block rows holding them are gathered."""
     if bit_count < 0:
         raise ValueError(f"bit count must be non-negative, got {bit_count}")
     _require_capacity(carrier, params, bit_count)
     r, c = np.divmod(_c_first(derive_pattern(key, params.block_len)), params.block_cols)
     blocks = _block_grid(carrier.as_array(), params)
-    return blocks[:, :, r, c].reshape(-1, params.block_len)[:bit_count]
-
-
-def block_statistics(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> list[DetectionStatistic]:
-    """Per-block detection statistics for the first bit_count blocks."""
-    return _statistics(_detection_rows(carrier, key, bit_count, params))
+    # a carrier narrower than one block has no block columns, and then bit_count is 0
+    block_rows = -(-bit_count // max(blocks.shape[1], 1))
+    return blocks[:block_rows, :, r, c].reshape(-1, params.block_len)[:bit_count]
 
 
 def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> tuple[np.ndarray, np.ndarray]:

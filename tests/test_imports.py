@@ -78,6 +78,20 @@ assert Carrier is pestego.statstego.Carrier and statistic is pestego.statstego.s
     assert lines[-1] == "True"
 
 
+def test_export_list(tmp_path):
+    """Every exported name resolves and is listed once; the lazy ones are the statstego objects."""
+    code = NUMPY_LOADED + """
+import pestego, pestego.statstego
+assert len(pestego.__all__) == len(set(pestego.__all__)), pestego.__all__
+exported = {name: getattr(pestego, name) for name in pestego.__all__}
+lazy = pestego._STATSTEGO_NAMES
+assert lazy <= set(exported)
+assert all(exported[name] is getattr(pestego.statstego, name) for name in lazy)
+print("ok")
+"""
+    assert run_python("import pestego.cli\n" + code, tmp_path) == ["False", "ok"]
+
+
 def test_unknown_attribute():
     with pytest.raises(AttributeError, match="no_such_name"):
         pestego.no_such_name  # noqa: B018

@@ -91,7 +91,7 @@ class TestCapacity:
     def test_spec_numbers(self, spec_pe):
         image = parse_pe(spec_pe.data)
         report = capacity(image, "k.txt")
-        assert report.total == 0x88
+        assert report.region.length == 0x88
         assert report.overhead == 19
         assert report.usable == 0x88 - 19 == 117
 

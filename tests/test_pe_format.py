@@ -31,7 +31,7 @@ class TestParse:
     def test_minimal_fixture(self, spec_pe):
         image = parse_pe(spec_pe.data)
         assert image.nt_headers.number_of_sections == 1
-        assert image.dos_header.e_lfanew == spec_pe.e_lfanew
+        assert image.nt_offset == spec_pe.e_lfanew
         assert image.header_end_offset == spec_pe.header_end_offset
         assert image.nt_headers.file_alignment == spec_pe.file_alignment
         assert image.nt_headers.size_of_headers == spec_pe.size_of_headers
