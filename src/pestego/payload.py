@@ -29,7 +29,7 @@ from .errors import (
     UnsafeNameError,
 )
 from .fileio import write_atomic
-from .pe_format import PeImage, Region, header_slack, parse_pe, serialize
+from .pe_format import PeImage, Region, header_slack, parse_pe
 
 MAGIC = b"SPE1"
 MAX_NAME_BYTES = 255
@@ -64,10 +64,6 @@ class PayloadRecord(NamedTuple):
                 struct.pack("<I", crc),
             )
         )
-
-    @property
-    def encoded_length(self) -> int:
-        return FIXED_OVERHEAD + len(_encode_name(self.name)) + len(self.data)
 
     @classmethod
     def decode(cls, buf: bytes) -> "PayloadRecord":
@@ -124,10 +120,11 @@ def capacity(image: PeImage, name: str) -> CapacityReport:
 
 
 def hide(image: PeImage, name: str, data: bytes, *, force: bool = False) -> PeImage:
-    """Return a copy of ``image`` with (name, data) framed into header slack.
+    """Return a new image of the file with (name, data) framed into header slack.
 
-    The slack must be all zero bytes unless ``force`` is set; ``force``
-    clears the whole slack first so stale record bytes cannot survive.
+    The slack must be all zero bytes unless ``force`` is set; the record is
+    followed by zeros to the end of the slack, so with ``force`` no stale
+    record bytes survive.
     """
     record = PayloadRecord(name, data).encode()
     region = header_slack(image)
@@ -140,11 +137,9 @@ def hide(image: PeImage, name: str, data: bytes, *, force: bool = False) -> PeIm
         kind = "an existing payload record" if existing[:4] == MAGIC else "non-zero bytes"
         raise SlackOccupiedError(f"header slack holds {kind}; pass force to overwrite")
 
-    stego = parse_pe(serialize(image))
-    if force:
-        stego.write(region.offset, bytes(region.length))
-    stego.write(region.offset, record)
-    return stego
+    cover = memoryview(image.data)
+    fill = bytes(region.length - len(record))
+    return parse_pe(b"".join((cover[: region.offset], record, fill, cover[region.end :])))
 
 
 def retract(image: PeImage) -> tuple[str, bytes]:

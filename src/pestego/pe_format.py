@@ -2,8 +2,7 @@
 
 The parser keeps the complete original byte sequence alongside the decoded
 headers, so ``serialize(parse_pe(b)) == b`` for every accepted input.  A
-``bytes`` input is kept as it is, without a copy; :meth:`PeImage.write` takes
-a private copy on the first edit, and edits never change the file length.
+``bytes`` input is kept as it is, without a copy, and images are immutable.
 Only PE32 (optional-header magic 0x10B) is accepted; PE32+ is rejected.
 All multi-byte integers are little-endian per the on-disk format.
 """
@@ -84,33 +83,23 @@ class SectionHeader(NamedTuple):
         return Region(self.pointer_to_raw_data, self.size_of_raw_data)
 
 
-class PeImage:
+class PeImage(NamedTuple):
     """Parsed model of a 32-bit PE file plus its full raw bytes.
 
-    Instances come from :func:`parse_pe`.  The raw buffer is immutable
-    ``bytes`` until the first :meth:`write`, which turns it into a private
-    ``bytearray``; decoded headers are never re-derived after an edit, so
-    callers must not rewrite header bytes (the hiding operations only touch
-    slack).  Safe to hand between threads, not to mutate concurrently.
+    Instances come from :func:`parse_pe` and are immutable, so the decoded
+    headers always describe ``data``.  An edited file is new bytes, parsed
+    again, as :func:`pestego.payload.hide` does.
     """
 
-    def __init__(
-        self,
-        data: bytes,
-        nt_headers: NtHeaders,
-        sections: list[SectionHeader],
-        nt_offset: int,
-        warnings: list[str],
-    ):
-        self._data = data
-        self.nt_headers = nt_headers
-        self.sections = sections
-        self.nt_offset = nt_offset
-        self.warnings = warnings
+    data: bytes
+    nt_headers: NtHeaders
+    sections: list[SectionHeader]
+    nt_offset: int
+    warnings: list[str]
 
     @property
     def size(self) -> int:
-        return len(self._data)
+        return len(self.data)
 
     @property
     def header_end_offset(self) -> int:
@@ -124,26 +113,13 @@ class PeImage:
         )
 
     def read(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0 or offset + length > len(self._data):
-            raise ValueError(f"read [{offset}, {offset + length}) outside file of {len(self._data)} bytes")
-        return bytes(self._data[offset : offset + length])
-
-    def write(self, offset: int, payload: bytes) -> None:
-        """Edit in place, copying the buffer on the first edit; never grows or shrinks the file."""
-        if offset < 0 or offset + len(payload) > len(self._data):
-            raise ValueError(f"write [{offset}, {offset + len(payload)}) outside file of {len(self._data)} bytes")
-        if isinstance(self._data, bytes):
-            self._data = bytearray(self._data)
-        self._data[offset : offset + len(payload)] = payload
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PeImage):
-            return NotImplemented
-        return self._data == other._data
+        if offset < 0 or length < 0 or offset + length > len(self.data):
+            raise ValueError(f"read [{offset}, {offset + length}) outside file of {len(self.data)} bytes")
+        return self.data[offset : offset + length]
 
     def __repr__(self) -> str:
         return (
-            f"PeImage({len(self._data)} bytes, {self.nt_headers.number_of_sections} sections, "
+            f"PeImage({len(self.data)} bytes, {self.nt_headers.number_of_sections} sections, "
             f"image_base=0x{self.nt_headers.image_base:08X})"
         )
 
@@ -266,8 +242,8 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
 
 
 def serialize(image: PeImage) -> bytes:
-    """Emit the retained raw bytes with all edits applied; an unedited image returns its input without a copy."""
-    return bytes(image._data)
+    """The file's bytes: the very ``bytes`` object the image was parsed from, or its one copy."""
+    return image.data
 
 
 def rva_to_va(image_base: int, rva: int) -> int:

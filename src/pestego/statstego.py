@@ -345,45 +345,10 @@ def extract_message(carrier: Carrier, key: bytes, bit_count: int, params: StatPa
     return detect_blocks(carrier, key, bit_count, params)[1].tolist()
 
 
-# Inverse standard normal CDF, Acklam's rational approximation.  Relative
-# error is below 1.2e-9 over (0, 1), well inside the 1e-6 the detector needs.
-
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_ACKLAM_LOW = 0.02425
-
-
 def normal_quantile(p: float) -> float:
     """Standard normal quantile z with Phi(z) = p, for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_LOW:
-        u = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    if p > 1.0 - _ACKLAM_LOW:
-        u = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    u = p - 0.5
-    r = u * u
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
+    from statistics import NormalDist  # about 5 ms to import; only detection needs it
+
+    return NormalDist().inv_cdf(p)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 import zlib
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pe_builder import build_pe
+from pe_builder import SectionPlan, build_pe
 from oracles import byte_diff_offsets, crc32_bitwise
 
 from pestego import (
@@ -130,9 +131,10 @@ class TestHideRetract:
     @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
     @pytest.mark.parametrize("edited", [False, True], ids=["fresh", "edited"])
     def test_input_serialization_unchanged(self, spec_pe, force, edited):
-        image = parse_pe(spec_pe.data)
-        if edited:  # a copied buffer: the last byte lies in section data, outside the slack
-            image.write(len(spec_pe.data) - 1, b"\x5A")
+        data = bytearray(spec_pe.data)
+        if edited:  # the last byte lies in section data, outside the slack
+            data[-1] ^= 0x5A
+        image = parse_pe(data)  # a bytearray input: the image holds its own copy
         before = serialize(image)
         stego = hide(image, "p.bin", b"data", force=force)
         assert serialize(image) == before
@@ -185,11 +187,23 @@ class TestHideRetract:
 
     def test_retract_tampered(self, spec_pe):
         image = parse_pe(spec_pe.data)
-        stego = hide(image, "p.bin", bytes(range(50)))
-        region = header_slack(stego)
-        stego.write(region.offset + 20, bytes([serialize(stego)[region.offset + 20] ^ 1]))
+        stego = serialize(hide(image, "p.bin", bytes(range(50))))
+        at = header_slack(image).offset + 20
+        tampered = parse_pe(stego[:at] + bytes([stego[at] ^ 1]) + stego[at + 1 :])
         with pytest.raises(CorruptPayloadError):
-            retract(stego)
+            retract(tampered)
+
+    def test_stego_built_in_one_copy(self):
+        built = build_pe(header_slack=0x88, sections=[SectionPlan(raw_size=4 << 20)])
+        image = parse_pe(built.data)
+        tracemalloc.start()
+        try:
+            out = serialize(hide(image, "p.bin", bytes(range(50))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == len(built.data) >= 4 << 20
+        assert peak <= 1.25 * len(built.data)
 
     def test_header_fields_unchanged(self, spec_pe):
         image = parse_pe(spec_pe.data)

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pe_builder import SectionPlan, build_pe
-from oracles import byte_diff_offsets
 
 from pestego import (
     Not32BitError,
@@ -234,24 +233,18 @@ class TestSlack:
 
 
 class TestEdits:
-    def test_write_into_slack_diffs_exactly(self, spec_pe):
-        image = parse_pe(spec_pe.data)
-        region = header_slack(image)
-        image.write(region.offset, b"\xAA\xBB\xCC\xDD")
-        out = serialize(image)
-        assert len(out) == len(spec_pe.data)
-        assert byte_diff_offsets(spec_pe.data, out) == [region.offset + i for i in range(4)]
-
     def test_no_edits_identity(self, spec_pe):
         image = parse_pe(spec_pe.data)
         assert serialize(image) == spec_pe.data
 
-    def test_write_bounds_checked(self, spec_pe):
+    def test_read_bounds_checked(self, spec_pe):
         image = parse_pe(spec_pe.data)
-        with pytest.raises(ValueError):
-            image.write(len(spec_pe.data) - 2, b"\x00\x00\x00")
-        with pytest.raises(ValueError):
-            image.write(-1, b"\x00")
+        size = len(spec_pe.data)
+        assert image.read(size - 2, 2) == spec_pe.data[-2:]
+        assert image.read(size, 0) == b""
+        for offset, length in ((size - 2, 3), (-1, 1), (0, -1)):
+            with pytest.raises(ValueError):
+                image.read(offset, length)
 
 
 class TestBufferOwnership:
@@ -259,14 +252,14 @@ class TestBufferOwnership:
         data = spec_pe.data
         assert serialize(parse_pe(data)) is data
 
-    def test_write_copies_before_the_first_edit(self, spec_pe):
+    def test_image_is_immutable(self, spec_pe):
         data = spec_pe.data
-        before = bytearray(data)
-        image, sibling = parse_pe(data), parse_pe(data)
-        image.write(header_slack(image).offset, b"\xAA\xBB")
-        assert data == before
-        assert serialize(sibling) == before
-        assert serialize(image) != before
+        image = parse_pe(data)
+        for field in ("data", "nt_headers", "sections", "nt_offset", "warnings"):
+            with pytest.raises(AttributeError):
+                setattr(image, field, None)
+        assert serialize(image) is data
+        assert repr(image) == "PeImage(1024 bytes, 1 sections, image_base=0x00400000)"
 
     @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))], ids=["bytearray", "memoryview"])
     def test_mutable_input_is_copied(self, spec_pe, wrap):
