@@ -36,8 +36,9 @@ from .pe_format import (
     serialize,
 )
 
-# The statistical names load numpy, which the PE side never needs, so
-# ``statstego`` is imported on first use of one of them (PEP 562).
+# The statistical names load ``dataclasses`` (with it ``inspect`` and ``ast``),
+# which the PE side never needs, so ``statstego`` is imported on first use
+# of one of them (PEP 562).
 _STATSTEGO_NAMES = frozenset(
     {
         "Carrier",

@@ -26,8 +26,8 @@ from .integrity import compare
 from .payload import capacity, hide, retract, write_extracted_file
 from .pe_format import header_slack, parse_pe, section_slack, serialize
 
-# The stat-* commands import pgm and statstego, and with them numpy, inside
-# the functions that need them, so the PE commands start without numpy.
+# The stat-* commands import pgm and statstego, and with them dataclasses,
+# inside the functions that need them, so the PE commands start without it.
 if TYPE_CHECKING:
     from .statstego import Carrier, StatParams
 

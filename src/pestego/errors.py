@@ -34,7 +34,7 @@ class Not32BitError(PeFormatError):
 class StrictParseError(PeFormatError):
     """Layout warnings promoted to an error by strict mode."""
 
-    def __init__(self, warnings: list[str]):
+    def __init__(self, warnings: tuple[str, ...]):
         super().__init__("; ".join(warnings))
         self.warnings = list(warnings)
 

@@ -93,9 +93,9 @@ class PeImage(NamedTuple):
 
     data: bytes
     nt_headers: NtHeaders
-    sections: list[SectionHeader]
+    sections: tuple[SectionHeader, ...]
     nt_offset: int
-    warnings: list[str]
+    warnings: tuple[str, ...]
 
     @property
     def size(self) -> int:
@@ -136,7 +136,7 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _layout_warnings(nt: NtHeaders, sections: list[SectionHeader], file_size: int) -> list[str]:
+def _layout_warnings(nt: NtHeaders, sections: tuple[SectionHeader, ...], file_size: int) -> tuple[str, ...]:
     warnings: list[str] = []
     if not _is_power_of_two(nt.file_alignment) or nt.file_alignment < 512:
         warnings.append(f"FileAlignment 0x{nt.file_alignment:X} is not a power of two >= 512")
@@ -158,7 +158,7 @@ def _layout_warnings(nt: NtHeaders, sections: list[SectionHeader], file_size: in
             na = sections[ia].display_name() or f"#{ia}"
             nb = sections[ib].display_name() or f"#{ib}"
             warnings.append(f"sections {na} and {nb} overlap in file space")
-    return warnings
+    return tuple(warnings)
 
 
 def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
@@ -215,18 +215,16 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
     if table_end > len(data):
         raise TruncatedError("section table extends past end of file")
 
-    sections: list[SectionHeader] = []
-    for i in range(number_of_sections):
-        off = table_offset + i * SECTION_HEADER_SIZE
-        sections.append(
-            SectionHeader(
-                name=data[off : off + 8],
-                virtual_size=_u32(data, off + 8),
-                virtual_address=_u32(data, off + 12),
-                size_of_raw_data=_u32(data, off + 16),
-                pointer_to_raw_data=_u32(data, off + 20),
-            )
+    sections = tuple(
+        SectionHeader(
+            name=data[off : off + 8],
+            virtual_size=_u32(data, off + 8),
+            virtual_address=_u32(data, off + 12),
+            size_of_raw_data=_u32(data, off + 16),
+            pointer_to_raw_data=_u32(data, off + 20),
         )
+        for off in range(table_offset, table_end, SECTION_HEADER_SIZE)
+    )
 
     warnings = _layout_warnings(nt, sections, len(data))
     if strict and warnings:

@@ -16,10 +16,11 @@ bounded draws permutes a balanced 0/1 vector.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     BlockTooSmallError,
@@ -109,9 +110,6 @@ class Carrier:
             raise ValueError(
                 f"carrier of {self.width}x{self.height} needs {self.width * self.height} pixels, got {len(self.pixels)}"
             )
-
-    def as_array(self) -> np.ndarray:
-        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width)
 
 
 @dataclass(frozen=True)
@@ -206,57 +204,105 @@ def _check_lengths(block: CarrierBlock, pattern: KeyPattern) -> None:
         raise LengthMismatchError(f"pattern length {len(pattern)} != block length {len(block.values)}")
 
 
-# The block kernel.  Embedding and detection work on an (n_blocks, block_len)
-# uint8 array holding one block per row, in row-major block order.  Detection
-# lays each row out C half first, so both halves are slices rather than
-# copies.  The per-block API is a one-row call into the same functions, so
-# batched and scalar results cannot differ.
+# The block kernel, in the standard library alone.  Blocks are numbered
+# row-major; pattern position p = r * block_cols + c is in-block row r,
+# column c.  Joining pixel row r of each block row gives a row in which
+# ``[c::block_cols]`` is pixel (r, c) of every block, so the kernel loops
+# over block positions, not blocks.  The per-block API is a one-block call
+# into the same functions, so batched and scalar results cannot differ.
 
-_SQUARES = np.arange(256, dtype=np.uint16) ** 2  # 255**2 fits 16 bits
-# Largest block whose int64 moments cannot overflow: with h = block_len / 2,
-# the spread N below is at most 2 * h**2 * 255**2, which stays under 2**63.
+# Largest block StatParams accepts.  With h = block_len / 2 the spread N
+# below is at most 2 * h**2 * 255**2, which stays under 2**63, so an
+# implementation with int64 moments computes the same q.
 _MAX_BLOCK_LEN = 1 << 24
+_TO_FF = bytes.maketrans(b"\x01", b"\xff")  # message bits 0/1 -> block masks 0x00/0xFF
+_SQUARE_LO = bytes(x * x & 0xFF for x in range(256))
+_SQUARE_HI = bytes(x * x >> 8 for x in range(256))
 
 
-def _mask(pattern: KeyPattern) -> np.ndarray:
-    return np.frombuffer(pattern.bits, dtype=np.uint8).astype(bool)
+def _row_starts(width: int, shape: tuple[int, int], count: int, r: int) -> range:
+    """Offsets of pixel row r of each block row that holds one of the first count blocks."""
+    bh, bw = shape
+    block_rows = -(-count // (width // bw))
+    return range(r * width, block_rows * bh * width, bh * width)
 
 
-def _c_first(pattern: KeyPattern) -> np.ndarray:
-    """Block positions of the C half, then of the D half."""
-    return np.argsort(~_mask(pattern), kind="stable")
+def _raise_blocks(grid: bytearray, width: int, shape: tuple[int, int], pattern: bytes, k: int, message: bytes) -> None:
+    """Raise the C pixels of each block whose message byte is 1 by k, saturating at 255, in place."""
+    if 1 not in message:  # also covers a carrier narrower than one block, which takes no message
+        return
+    bh, bw = shape
+    span, n = width // bw * bw, len(message)
+    raised = bytes(min(x + k, 255) for x in range(256))
+    mask = int.from_bytes(message.translate(_TO_FF), "little")
+    for r in range(bh):
+        starts = _row_starts(width, shape, n, r)
+        rows = bytearray().join([grid[at : at + span] for at in starts])
+        for c in range(bw):
+            if pattern[r * bw + c]:
+                at = slice(c, c + n * bw, bw)
+                old = rows[at]
+                before = int.from_bytes(old, "little")
+                after = int.from_bytes(old.translate(raised), "little")
+                rows[at] = (((after ^ before) & mask) ^ before).to_bytes(n, "little")
+        for i, at in enumerate(starts):
+            grid[at : at + span] = rows[i * span : (i + 1) * span]
 
 
-def _raise_rows(rows: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
-    """Every row with its C positions raised by k, saturating at 255."""
-    step = min(k, 255)  # min(x + k, 255) == min(x, 255 - step) + step for uint8 x, without widening
-    return np.where(mask, np.minimum(rows, 255 - step) + step, rows)
+def _byte_width(value: int) -> int:
+    return (value.bit_length() + 7) // 8
 
 
-def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact int64 (S1c, S1d, N) of C-first rows: the C and D sums, and h*(h-1)*(var_c + var_d)."""
-    half = rows.shape[1] // 2
-    c, d = rows[:, :half], rows[:, half:]
-    sum_c = c.sum(axis=1, dtype=np.int64)
-    sum_d = d.sum(axis=1, dtype=np.int64)
-    spread_c = half * _SQUARES[c].sum(axis=1, dtype=np.int64) - sum_c * sum_c
-    spread_d = half * _SQUARES[d].sum(axis=1, dtype=np.int64) - sum_d * sum_d
-    return sum_c, sum_d, spread_c + spread_d
+def _field(total: int, lane: int, offset: int, width: int, count: int) -> tuple[int, ...]:
+    """Bytes offset..offset+width of each of count lanes of total, as unsigned integers."""
+    data = total.to_bytes(count * lane, "little")
+    wide = bytearray(8 * count)
+    for j in range(width):
+        wide[j::8] = data[offset + j :: lane]
+    return struct.unpack(f"<{count}Q", wide)
 
 
-def _q(sum_c: np.ndarray, sum_d: np.ndarray, spread: np.ndarray, half: int) -> np.ndarray:
-    """q = (S1c - S1d) * sqrt(h - 1) / sqrt(N); 0 or a signed infinity when N = 0."""
+def _block_q(pixels: bytes, width: int, shape: tuple[int, int], pattern: bytes, count: int) -> array:
+    """q of each of the first count blocks: exact integer moments, then _q's float steps.
+
+    The moments are summed in the lanes of two big integers, one for the C
+    positions and one for D (SIMD within a register).  A lane holds one
+    block's pixel sum in its low bytes and its sum of squares above them,
+    each field wide enough for a whole block, so C and D lanes add safely.
+    """
+    if count == 0:  # also covers a carrier narrower than one block, which holds no block
+        return array("d")
+    bh, bw = shape
+    span = width // bw * bw
+    low = _byte_width(bh * bw * 255)
+    lane = low + _byte_width(bh * bw * 255 * 255)
+    buf = bytearray(count * lane)
+    sums = [0, 0]  # the D lanes, the C lanes
+    for r in range(bh):
+        rows = b"".join([pixels[at : at + span] for at in _row_starts(width, shape, count, r)])
+        for c in range(bw):
+            values = rows[c : c + count * bw : bw]
+            buf[0::lane] = values
+            buf[low::lane] = values.translate(_SQUARE_LO)
+            buf[low + 1 :: lane] = values.translate(_SQUARE_HI)
+            sums[pattern[r * bw + c]] += int.from_bytes(buf, "little")
+    sum_d, sum_c = sums
+    half = bh * bw // 2
+    moments = (
+        _field(sum_c, lane, 0, low, count),
+        _field(sum_d, lane, 0, low, count),
+        _field(sum_c + sum_d, lane, low, lane - low, count),
+    )
+    return array("d", map(functools.partial(_q, half, math.sqrt(half - 1)), *moments))
+
+
+def _q(half: int, root: float, sum_c: int, sum_d: int, sum_sq: int) -> float:
+    """q = (S1c - S1d) * sqrt(h - 1) / sqrt(N), N = h*(S2c + S2d) - S1c**2 - S1d**2; 0 or signed infinity if N = 0."""
     diff = sum_c - sum_d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = diff * math.sqrt(half - 1) / np.sqrt(spread)
-    return np.where(spread > 0, q, np.where(diff == 0, 0.0, np.copysign(np.inf, diff)))
-
-
-def _block_grid(grid: np.ndarray, params: StatParams) -> np.ndarray:
-    """View of the full blocks as (block row, block col, rows, cols); edge remainders left out."""
-    bh, bw = params.block_rows, params.block_cols
-    rows, cols = grid.shape[0] // bh, grid.shape[1] // bw
-    return grid[: rows * bh, : cols * bw].reshape(rows, bh, cols, bw).transpose(0, 2, 1, 3)
+    spread = half * sum_sq - sum_c * sum_c - sum_d * sum_d
+    if spread:
+        return diff * root / math.sqrt(spread)
+    return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
 def embed_bit(block: CarrierBlock, pattern: KeyPattern, k: int, bit: int) -> CarrierBlock:
@@ -268,9 +314,9 @@ def embed_bit(block: CarrierBlock, pattern: KeyPattern, k: int, bit: int) -> Car
         raise ValueError(f"strength k must be a positive integer, got {k}")
     if bit == 0:
         return block
-    values = np.frombuffer(block.values, dtype=np.uint8)
-    marked = _raise_rows(values[None, :], _mask(pattern), k)
-    return CarrierBlock(index=block.index, values=marked.tobytes(), shape=block.shape)
+    values = bytearray(block.values)
+    _raise_blocks(values, block.shape[1], block.shape, pattern.bits, k, b"\x01")
+    return CarrierBlock(index=block.index, values=bytes(values), shape=block.shape)
 
 
 def statistic(block: CarrierBlock, pattern: KeyPattern) -> DetectionStatistic:
@@ -284,8 +330,7 @@ def statistic(block: CarrierBlock, pattern: KeyPattern) -> DetectionStatistic:
     half = len(block.values) // 2
     if half < 2:
         raise BlockTooSmallError(f"need at least 2 values per set, block has {half}")
-    values = np.frombuffer(block.values, dtype=np.uint8)
-    return DetectionStatistic(q=_q(*_moments(values[_c_first(pattern)][None, :]), half).item())
+    return DetectionStatistic(q=_block_q(block.values, block.shape[1], block.shape, pattern.bits, 1)[0])
 
 
 def detect_bit(stat: DetectionStatistic, params: StatParams) -> int:
@@ -309,35 +354,23 @@ def _require_capacity(carrier: Carrier, params: StatParams, needed: int) -> None
 def embed_message(carrier: Carrier, key: bytes, bits: MessageLayout, params: StatParams) -> Carrier:
     """Embed one bit per block; blocks past the message and edge remainders stay bit-identical."""
     _require_capacity(carrier, params, bits.block_count)
-    mask = _mask(derive_pattern(key, params.block_len))
-    grid = carrier.as_array().copy()
-    blocks = _block_grid(grid, params)  # a view: writing to it writes the grid
-    marked = np.flatnonzero(np.frombuffer(bytes(bits.message_bits), dtype=np.uint8))
-    at = np.divmod(marked, blocks.shape[1])
-    rows = blocks[at].reshape(len(marked), params.block_len)
-    blocks[at] = _raise_rows(rows, mask, params.k).reshape(-1, params.block_rows, params.block_cols)
-    return Carrier(width=carrier.width, height=carrier.height, pixels=grid.tobytes())
+    grid = bytearray(carrier.pixels)
+    shape, pattern = (params.block_rows, params.block_cols), derive_pattern(key, params.block_len).bits
+    _raise_blocks(grid, carrier.width, shape, pattern, params.k, bytes(bits.message_bits))
+    return Carrier(width=carrier.width, height=carrier.height, pixels=bytes(grid))
 
 
-def _detection_rows(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> np.ndarray:
-    """The first bit_count blocks, one C-first row each; only the block rows holding them are gathered."""
-    if bit_count < 0:
-        raise ValueError(f"bit count must be non-negative, got {bit_count}")
-    _require_capacity(carrier, params, bit_count)
-    r, c = np.divmod(_c_first(derive_pattern(key, params.block_len)), params.block_cols)
-    blocks = _block_grid(carrier.as_array(), params)
-    # a carrier narrower than one block has no block columns, and then bit_count is 0
-    block_rows = -(-bit_count // max(blocks.shape[1], 1))
-    return blocks[:block_rows, :, r, c].reshape(-1, params.block_len)[:bit_count]
-
-
-def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> tuple[np.ndarray, np.ndarray]:
-    """q (float64) and the detected bit (uint8) of each of the first bit_count blocks.
+def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> tuple[array, array]:
+    """q (``array('d')``) and the detected bit (``array('B')``) of each of the first bit_count blocks.
 
     The batched form of statistic and detect_bit, with z_alpha computed once.
     """
-    q = _q(*_moments(_detection_rows(carrier, key, bit_count, params)), params.block_len // 2)
-    return q, (q > params.z_alpha).astype(np.uint8)
+    if bit_count < 0:
+        raise ValueError(f"bit count must be non-negative, got {bit_count}")
+    _require_capacity(carrier, params, bit_count)
+    shape = (params.block_rows, params.block_cols)
+    q = _block_q(carrier.pixels, carrier.width, shape, derive_pattern(key, params.block_len).bits, bit_count)
+    return q, array("B", map(params.z_alpha.__lt__, q))
 
 
 def extract_message(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> list[int]:

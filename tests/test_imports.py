@@ -1,4 +1,4 @@
-"""The PE side of pestego runs without importing numpy, dataclasses or inspect.
+"""pestego never imports numpy, and its PE side runs without dataclasses or inspect.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported numpy through other tests.
@@ -75,7 +75,25 @@ assert Carrier is pestego.statstego.Carrier and statistic is pestego.statstego.s
 """
     lines = run_python(code + NUMPY_LOADED, tmp_path)
     assert lines[0].startswith("bits: ")
-    assert lines[-1] == "True"
+    assert lines[-1] == "False"
+
+
+def test_stat_commands_run_without_numpy(tmp_path):
+    """With numpy unimportable, both stat commands still run: the statistical path is standard library only."""
+    (tmp_path / "carrier.pgm").write_bytes(b"P5\n32 16\n255\n" + bytes(range(256)) * 2)
+    (tmp_path / "message.txt").write_text("1011 0010")
+    code = """
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from pestego.cli import main
+args = ["--key", "k", "--block", "4x2"]
+assert main(["stat-embed", "--in", "carrier.pgm", "--payload", "message.txt", "--out", "stego.pgm", *args]) == 0
+assert main(["stat-extract", "--in", "stego.pgm", "--bits", "8", *args]) == 0
+assert main(["stat-extract", "--in", "stego.pgm", "--bits", "8", "--csv", *args]) == 0
+"""
+    lines = run_python(code, tmp_path)
+    assert lines[0] == "embedded 8 bits into 4x2 blocks (k=10)"
+    assert lines[2].startswith("bits: ") and len(lines[2]) == len("bits: ") + 8
+    assert lines[-9] == "block,q,bit"
 
 
 def test_export_list(tmp_path):

@@ -113,7 +113,7 @@ class TestRoundTrip:
 
 class TestWarnings:
     def test_clean_fixture_has_none(self, spec_pe):
-        assert parse_pe(spec_pe.data).warnings == []
+        assert parse_pe(spec_pe.data).warnings == ()
 
     def test_misaligned_section(self):
         built = build_pe(sections=[SectionPlan(raw_size=500)])
@@ -260,6 +260,14 @@ class TestBufferOwnership:
                 setattr(image, field, None)
         assert serialize(image) is data
         assert repr(image) == "PeImage(1024 bytes, 1 sections, image_base=0x00400000)"
+
+    def test_fields_are_tuples(self, spec_pe):
+        """No field can be edited in place, so an image is hashable and equal images hash alike."""
+        image = parse_pe(spec_pe.data)
+        assert hash(image) == hash(parse_pe(bytes(spec_pe.data)))
+        for field in (image.sections, image.warnings):
+            with pytest.raises(AttributeError):
+                field.append(None)
 
     @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))], ids=["bytearray", "memoryview"])
     def test_mutable_input_is_copied(self, spec_pe, wrap):

@@ -200,6 +200,11 @@ class TestParams:
             MessageLayout((0, 2))
 
 
+def pixel_grid(carrier: Carrier) -> np.ndarray:
+    """Read-only (height, width) uint8 view of the carrier's pixels."""
+    return np.frombuffer(carrier.pixels, dtype=np.uint8).reshape(carrier.height, carrier.width)
+
+
 def uniform_carrier(rng, width, height, high=256):
     return Carrier(width, height, rng.integers(0, high, size=width * height, dtype=np.uint8).tobytes())
 
@@ -233,8 +238,8 @@ class TestMessage:
         params = StatParams(k=10)
         # only block index 1 marked: rows 0..8, cols 8..16
         out = embed_message(carrier, b"k", MessageLayout((0, 1, 0, 0, 0, 0)), params)
-        before = carrier.as_array()
-        after = out.as_array()
+        before = pixel_grid(carrier)
+        after = pixel_grid(out)
         changed = np.argwhere(before != after)
         assert changed.size > 0
         assert changed[:, 0].min() >= 0 and changed[:, 0].max() < 8
@@ -245,8 +250,8 @@ class TestMessage:
         carrier = uniform_carrier(rng, 20, 20, high=16)
         params = StatParams(k=10)
         out = embed_message(carrier, b"k", MessageLayout((1, 1, 1, 1)), params)
-        before = carrier.as_array()
-        after = out.as_array()
+        before = pixel_grid(carrier)
+        after = pixel_grid(out)
         assert np.array_equal(before[16:, :], after[16:, :])
         assert np.array_equal(before[:, 16:], after[:, 16:])
 
@@ -271,7 +276,7 @@ class TestMessage:
         params = StatParams()
         bits = extract_message(carrier, b"k", 16, params)
         pattern = derive_pattern(b"k", params.block_len)
-        grid = carrier.as_array()
+        grid = pixel_grid(carrier)
         blocks = [one_block(grid, params, index, r, c) for index, r, c in loop_blocks(carrier, params)]
         assert bits == [detect_bit(statistic(block, pattern), params) for block in blocks]
 
@@ -290,7 +295,7 @@ def kernel_cases(draw):
     low, high = draw(st.sampled_from([(0, 256), (0, 2), (250, 256), (7, 8)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     carrier = uniform_carrier(rng, max(width, 1), max(height, 1), high=high - low)
-    carrier = Carrier(carrier.width, carrier.height, (carrier.as_array() + low).tobytes())
+    carrier = Carrier(carrier.width, carrier.height, (pixel_grid(carrier) + low).tobytes())
     params = StatParams(block_rows=bh, block_cols=bw, k=draw(st.integers(1, 300)), alpha=0.01)
     return carrier, params, draw(st.binary(max_size=8))
 
@@ -320,8 +325,8 @@ class TestBlockKernel:
         n = block_capacity(carrier, params)
         pattern = derive_pattern(key, params.block_len)
         q, bits = detect_blocks(carrier, key, n, params)
-        assert q.dtype == np.float64 and bits.dtype == np.uint8 and len(q) == len(bits) == n
-        grid = carrier.as_array()
+        assert q.typecode == "d" and bits.typecode == "B" and len(q) == len(bits) == n
+        grid = pixel_grid(carrier)
         for index, r, c in loop_blocks(carrier, params):
             block = one_block(grid, params, index, r, c)
             one = statistic(block, pattern)
@@ -366,7 +371,7 @@ class TestBlockKernel:
         message = tuple(data.draw(st.lists(st.integers(0, 1), max_size=n)))
         out = embed_message(carrier, key, MessageLayout(message), params)
         pattern = derive_pattern(key, params.block_len)
-        grid = carrier.as_array().copy()
+        grid = pixel_grid(carrier).copy()
         for index, r, c in loop_blocks(carrier, params):
             if index < len(message):
                 marked = embed_bit(one_block(grid, params, index, r, c), pattern, params.k, message[index])
@@ -374,7 +379,7 @@ class TestBlockKernel:
                     marked.values, dtype=np.uint8
                 ).reshape(params.block_rows, params.block_cols)
         assert out.pixels == grid.tobytes()
-        before, after = carrier.as_array(), out.as_array()
+        before, after = pixel_grid(carrier), pixel_grid(out)
         full_h = carrier.height - carrier.height % params.block_rows
         full_w = carrier.width - carrier.width % params.block_cols
         assert np.array_equal(before[full_h:], after[full_h:])
@@ -384,6 +389,106 @@ class TestBlockKernel:
         carrier = Carrier(8, 8, bytes([250]) * 64)
         out = embed_message(carrier, b"k", MessageLayout((1,)), StatParams(k=300))
         assert sorted(set(out.pixels)) == [250, 255]
+
+
+# The numpy block kernel that pestego ran before its standard-library one,
+# kept here as a reference: q must equal it exactly and stego pixels must
+# match it byte for byte.  Blocks are rows of an (n_blocks, block_len)
+# array, laid out C half first for detection.
+
+_SQUARES = np.arange(256, dtype=np.uint16) ** 2
+
+
+def _reference_blocks(grid: np.ndarray, params: StatParams) -> np.ndarray:
+    """View of the full blocks as (block row, block col, rows, cols)."""
+    bh, bw = params.block_rows, params.block_cols
+    rows, cols = grid.shape[0] // bh, grid.shape[1] // bw
+    return grid[: rows * bh, : cols * bw].reshape(rows, bh, cols, bw).transpose(0, 2, 1, 3)
+
+
+def _reference_mask(key: bytes, params: StatParams) -> np.ndarray:
+    return np.frombuffer(derive_pattern(key, params.block_len).bits, dtype=np.uint8).astype(bool)
+
+
+def reference_embed(carrier: Carrier, key: bytes, message: tuple[int, ...], params: StatParams) -> bytes:
+    grid = pixel_grid(carrier).copy()
+    blocks = _reference_blocks(grid, params)
+    marked = np.flatnonzero(np.array(message, dtype=np.uint8))
+    at = np.divmod(marked, max(blocks.shape[1], 1))
+    rows = blocks[at].reshape(len(marked), params.block_len)
+    step = min(params.k, 255)
+    raised = np.where(_reference_mask(key, params), np.minimum(rows, 255 - step) + step, rows)
+    blocks[at] = raised.reshape(-1, params.block_rows, params.block_cols)
+    return grid.tobytes()
+
+
+def reference_q(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> np.ndarray:
+    r, c = np.divmod(np.argsort(~_reference_mask(key, params), kind="stable"), params.block_cols)
+    blocks = _reference_blocks(pixel_grid(carrier), params)
+    block_rows = -(-bit_count // max(blocks.shape[1], 1))
+    rows = blocks[:block_rows, :, r, c].reshape(-1, params.block_len)[:bit_count]
+    half = params.block_len // 2
+    c_half, d_half = rows[:, :half], rows[:, half:]
+    sum_c = c_half.sum(axis=1, dtype=np.int64)
+    sum_d = d_half.sum(axis=1, dtype=np.int64)
+    spread_c = half * _SQUARES[c_half].sum(axis=1, dtype=np.int64) - sum_c * sum_c
+    spread_d = half * _SQUARES[d_half].sum(axis=1, dtype=np.int64) - sum_d * sum_d
+    spread, diff = spread_c + spread_d, sum_c - sum_d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = diff * math.sqrt(half - 1) / np.sqrt(spread)
+    return np.where(spread > 0, q, np.where(diff == 0, 0.0, np.copysign(np.inf, diff)))
+
+
+def check_against_reference(carrier: Carrier, params: StatParams, key: bytes, message: tuple[int, ...], bit_count: int):
+    stego = embed_message(carrier, key, MessageLayout(message), params)
+    assert stego.pixels == reference_embed(carrier, key, message, params)
+    q, bits = detect_blocks(stego, key, bit_count, params)
+    expected = reference_q(stego, key, bit_count, params)
+    assert [x.hex() for x in q] == [x.hex() for x in expected.tolist()]
+    assert bits.tolist() == (expected > params.z_alpha).astype(int).tolist()
+
+
+def _wide_block_carrier(block_cols: int) -> Carrier:
+    """Two 2 x block_cols blocks: C pixels at 255 and D pixels at 254 or 255, then noise."""
+    rng = np.random.default_rng(block_cols)
+    mask = _reference_mask(b"k", StatParams(2, block_cols)).reshape(2, block_cols)
+    high = np.where(mask, 255, rng.integers(254, 256, mask.shape)).astype(np.uint8)
+    return Carrier(block_cols, 4, np.vstack([high, rng.integers(0, 256, mask.shape, dtype=np.uint8)]).tobytes())
+
+
+class TestNumpyReference:
+    """The standard-library kernel against the numpy kernel it replaced: equal q, equal bytes."""
+
+    @given(case=kernel_cases(), data=st.data())
+    def test_matches_numpy_kernel(self, case, data):
+        carrier, params, key = case
+        n = block_capacity(carrier, params)
+        message = tuple(data.draw(st.lists(st.integers(0, 1), max_size=n)))
+        check_against_reference(carrier, params, key, message, data.draw(st.integers(0, n)))
+
+    @pytest.mark.parametrize(
+        "carrier, params, message, bit_count",
+        [
+            # h * 255**2 > 2**32: even one half's square sum passes 32 bits
+            (_wide_block_carrier(66054), StatParams(2, 66054, k=3), (1, 1), 2),
+            # block_len * 255**2 just under 2**32 and 2**24: square sums that nearly fill 4 and 3 bytes
+            (_wide_block_carrier(33025), StatParams(2, 33025, k=3), (0, 1), 2),
+            (_wide_block_carrier(129), StatParams(2, 129, k=3), (1, 0), 2),
+            (uniform_carrier(np.random.default_rng(20), 24, 16, high=8), StatParams(4, 4, k=255), (1,) * 24, 24),
+            (Carrier(16, 8, bytes(range(128, 256))), StatParams(4, 4, k=300), (1, 0, 1, 1, 1, 1, 0, 1), 8),
+            # a partial last block row: 5 blocks per row, 7 bits
+            (uniform_carrier(np.random.default_rng(21), 22, 13), StatParams(6, 4), (1, 0, 1, 1, 0, 1, 1), 7),
+            # narrower than one block: no block at all
+            (uniform_carrier(np.random.default_rng(22), 3, 40), StatParams(4, 4), (), 0),
+            (uniform_carrier(np.random.default_rng(23), 32, 32), StatParams(), (1, 1, 0, 1), 0),
+        ],
+        ids=[
+            "sums-past-2**32", "sums-under-2**32", "sums-under-2**24",
+            "k-255", "k-300", "partial-block-row", "narrow-carrier", "zero-bits",
+        ],
+    )
+    def test_explicit_cases(self, carrier, params, message, bit_count):
+        check_against_reference(carrier, params, b"k", message, bit_count)
 
 
 class TestDistributions:
