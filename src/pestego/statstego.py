@@ -20,7 +20,8 @@ import functools
 import math
 import struct
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import (
     BlockTooSmallError,
@@ -65,13 +66,30 @@ class _SplitMix64:
                 return value % bound
 
 
-@dataclass(frozen=True)
-class KeyPattern:
-    """Balanced binary mask selecting the C half of a block."""
+class _Checked:
+    """Validated namedtuple base: every way to build one runs the subclass's _check.
 
-    bits: bytes  # one byte per position, each 0 or 1
+    The call, copy and pickle reach __new__; _make, and with it _replace, calls the class.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class KeyPattern(_Checked, namedtuple("KeyPattern", "bits")):
+    """Balanced binary mask selecting the C half of a block; bits holds one byte per position, each 0 or 1."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.bits.translate(None, b"\x00\x01"):
             raise ValueError("pattern bits must be 0 or 1")
         if 2 * self.bits.count(1) != len(self.bits):
@@ -95,15 +113,12 @@ def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
     return KeyPattern(bytes(bits))
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
     """Rectangular 8-bit carrier, pixels row-major."""
 
-    width: int
-    height: int
-    pixels: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"carrier dimensions must be positive, got {self.width}x{self.height}")
         if len(self.pixels) != self.width * self.height:
@@ -112,32 +127,27 @@ class Carrier:
             )
 
 
-@dataclass(frozen=True)
-class CarrierBlock:
-    """One block cut from a carrier; values row-major within the block."""
+class CarrierBlock(_Checked, namedtuple("CarrierBlock", "index values shape")):
+    """One block cut from a carrier; values row-major within the block, shape (rows, cols)."""
 
-    index: int
-    values: bytes
-    shape: tuple[int, int]  # (rows, cols)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         rows, cols = self.shape
+        if rows < 1 or cols < 1:
+            raise ValueError(f"block dimensions must be positive, got shape {self.shape}")
         if rows * cols != len(self.values):
             raise ValueError(f"shape {self.shape} does not match {len(self.values)} values")
         if len(self.values) % 2:
             raise OddBlockLengthError(f"block length {len(self.values)} is odd")
 
 
-@dataclass(frozen=True)
-class StatParams:
+class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alpha", defaults=(8, 8, 10, 0.05))):
     """Embedding strength and detection threshold settings."""
 
-    block_rows: int = 8
-    block_cols: int = 8
-    k: int = 10
-    alpha: float = 0.05
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         """Refuse every setting that embedding or detection could not use, so both refuse alike."""
         if self.block_rows < 1 or self.block_cols < 1:
             raise ValueError("block dimensions must be positive")
@@ -150,7 +160,7 @@ class StatParams:
         if self.block_len > _MAX_BLOCK_LEN:
             raise ValueError(
                 f"block of {self.block_rows}x{self.block_cols} exceeds {_MAX_BLOCK_LEN} pixels,"
-                " past which the detection sums overflow 64 bits"
+                " past which an int64 implementation of the detection sums would overflow"
             )
         if self.k < 1:
             raise ValueError(f"strength k must be a positive integer, got {self.k}")
@@ -169,13 +179,12 @@ class StatParams:
         return normal_quantile(1.0 - self.alpha)
 
 
-@dataclass(frozen=True)
-class MessageLayout:
-    """The bit sequence to embed, one bit per carrier block."""
+class MessageLayout(_Checked, namedtuple("MessageLayout", "message_bits")):
+    """The bit sequence to embed (a tuple of ints), one bit per carrier block."""
 
-    message_bits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.message_bits.count(0) + self.message_bits.count(1) != len(self.message_bits):
             raise ValueError("message bits must be 0 or 1")
 
@@ -192,8 +201,7 @@ class MessageLayout:
         return cls(tuple(stripped.encode("ascii").translate(bytes.maketrans(b"01", b"\x00\x01"))))
 
 
-@dataclass(frozen=True)
-class DetectionStatistic:
+class DetectionStatistic(NamedTuple):
     """Standardized C-minus-D mean difference for one block."""
 
     q: float

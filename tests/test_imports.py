@@ -1,4 +1,4 @@
-"""pestego never imports numpy, and its PE side runs without dataclasses or inspect.
+"""pestego never imports numpy or dataclasses, and its PE side leaves statstego unloaded.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported numpy through other tests.
@@ -32,9 +32,11 @@ def run_python(code: str, cwd: Path) -> list[str]:
 
 
 @pytest.fixture
-def pe_files(tmp_path):
+def cli_files(tmp_path):
     (tmp_path / "cover.exe").write_bytes(build_pe(header_slack=0x88).data)
     (tmp_path / "secret.bin").write_bytes(bytes(range(50)))
+    (tmp_path / "carrier.pgm").write_bytes(b"P5\n32 16\n255\n" + bytes(range(256)) * 2)
+    (tmp_path / "message.txt").write_text("1011 0010")
     return tmp_path
 
 
@@ -53,15 +55,34 @@ assert main(["verify", "cover.exe", "stego.exe", "--out", "report.txt"]) == 0
     ["import pestego.cli", "from pestego import parse_pe, hide, compare", PE_COMMANDS],
     ids=["import-cli", "import-pe-names", "pe-commands"],
 )
-def test_pe_side_does_not_import_numpy(pe_files, code):
-    assert run_python(code + "\n" + NUMPY_LOADED, pe_files)[-1] == "False"
+def test_pe_side_does_not_import_numpy(cli_files, code):
+    assert run_python(code + "\n" + NUMPY_LOADED, cli_files)[-1] == "False"
+
+
+STAT_COMMANDS = """
+from pestego.cli import main
+args = ["--key", "k", "--block", "4x2"]
+assert main(["stat-embed", "--in", "carrier.pgm", "--payload", "message.txt", "--out", "stego.pgm", *args]) == 0
+assert main(["stat-extract", "--in", "stego.pgm", "--bits", "8", *args]) == 0
+"""
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import pestego.cli", PE_COMMANDS, "import pestego.statstego, pestego.pgm", PE_COMMANDS + STAT_COMMANDS],
+    ids=["import-cli", "pe-commands", "import-stat", "all-commands"],
+)
+def test_no_module_imports_dataclasses(cli_files, code):
+    # measured against the modules loaded at start-up, so a site hook that preloads them cannot fail the test
+    heavy = "{'dataclasses', 'inspect', 'ast'}"
+    added = f"before = set(sys.modules)\n{code}\nprint(sorted({heavy} & (set(sys.modules) - before)))"
+    assert run_python(added, cli_files)[-1] == "[]"
 
 
 @pytest.mark.parametrize("code", ["import pestego.cli", PE_COMMANDS], ids=["import-cli", "pe-commands"])
-def test_pe_side_does_not_import_dataclasses(pe_files, code):
-    # measured against the modules loaded at start-up, so a site hook that preloads them cannot fail the test
-    added = "before = set(sys.modules)\n" + code + "\nprint(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
-    assert run_python(added, pe_files)[-1] == "[]"
+def test_pe_side_leaves_statstego_unloaded(cli_files, code):
+    """Compiling statstego and pgm on every start would slow each PE command, so they stay lazy."""
+    assert run_python(code + "\nprint('pestego.statstego' in sys.modules)", cli_files)[-1] == "False"
 
 
 def test_stat_side_loads_on_first_use(tmp_path):
@@ -78,10 +99,8 @@ assert Carrier is pestego.statstego.Carrier and statistic is pestego.statstego.s
     assert lines[-1] == "False"
 
 
-def test_stat_commands_run_without_numpy(tmp_path):
+def test_stat_commands_run_without_numpy(cli_files):
     """With numpy unimportable, both stat commands still run: the statistical path is standard library only."""
-    (tmp_path / "carrier.pgm").write_bytes(b"P5\n32 16\n255\n" + bytes(range(256)) * 2)
-    (tmp_path / "message.txt").write_text("1011 0010")
     code = """
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from pestego.cli import main
@@ -90,7 +109,7 @@ assert main(["stat-embed", "--in", "carrier.pgm", "--payload", "message.txt", "-
 assert main(["stat-extract", "--in", "stego.pgm", "--bits", "8", *args]) == 0
 assert main(["stat-extract", "--in", "stego.pgm", "--bits", "8", "--csv", *args]) == 0
 """
-    lines = run_python(code, tmp_path)
+    lines = run_python(code, cli_files)
     assert lines[0] == "embedded 8 bits into 4x2 blocks (k=10)"
     assert lines[2].startswith("bits: ") and len(lines[2]) == len("bits: ") + 8
     assert lines[-9] == "block,q,bit"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -75,6 +77,12 @@ class TestEmbedBit:
         block = CarrierBlock(0, bytes([1, 2, 3, 4]), (1, 4))
         out = embed_bit(block, KeyPattern(bytes([1, 0, 1, 0])), 5, 1)
         assert list(out.values) == [6, 2, 8, 4]
+
+    @pytest.mark.parametrize("values, shape", [(bytes([1, 2, 3, 4]), (-1, -4)), (b"", (0, 0)), (b"", (0, 4))])
+    def test_nonpositive_shape_refused(self, values, shape):
+        """Such a block once reached embed_bit and statistic, which returned it unchanged, q = 0 or ZeroDivisionError."""
+        with pytest.raises(ValueError, match="positive"):
+            CarrierBlock(0, values, shape)
 
     def test_bit_zero_is_identity(self):
         block = CarrierBlock(0, bytes([1, 2, 3, 4]), (1, 4))
@@ -198,6 +206,60 @@ class TestParams:
             MessageLayout.from_text("012")
         with pytest.raises(ValueError):
             MessageLayout((0, 2))
+
+
+VALID_FIELDS = {
+    KeyPattern: (b"\x01\x00",),
+    Carrier: (2, 1, b"ab"),
+    CarrierBlock: (0, bytes([1, 2, 3, 4]), (1, 4)),
+    StatParams: (8, 8, 10, 0.05),
+    MessageLayout: ((0, 1),),
+    DetectionStatistic: (1.5,),
+}
+
+# (type, fields to change in its VALID_FIELDS, the exception the changed fields raise)
+INVALID_CHANGES = [
+    pytest.param(KeyPattern, {"bits": b"\x01\x01"}, ValueError, id="KeyPattern-unbalanced"),
+    pytest.param(Carrier, {"width": 0, "height": 0, "pixels": b""}, ValueError, id="Carrier-empty"),
+    pytest.param(Carrier, {"pixels": b"abc"}, ValueError, id="Carrier-pixel-count"),
+    pytest.param(CarrierBlock, {"shape": (-1, -4)}, ValueError, id="CarrierBlock-negative-shape"),
+    pytest.param(CarrierBlock, {"values": b"abc", "shape": (1, 3)}, OddBlockLengthError, id="CarrierBlock-odd"),
+    pytest.param(StatParams, {"k": 0}, ValueError, id="StatParams-k"),
+    pytest.param(StatParams, {"block_rows": 1, "block_cols": 2}, BlockTooSmallError, id="StatParams-block"),
+    pytest.param(MessageLayout, {"message_bits": (0, 2)}, ValueError, id="MessageLayout-bits"),
+]
+
+# Each way to build a value from (type, valid fields, fields).  Copy and pickle
+# start from an unchecked instance, so that only their own construction can refuse it.
+CONSTRUCTION_PATHS = {
+    "call": lambda cls, valid, fields: cls(*fields),
+    "keywords": lambda cls, valid, fields: cls(**dict(zip(cls._fields, fields))),
+    "_make": lambda cls, valid, fields: cls._make(fields),
+    "_replace": lambda cls, valid, fields: cls(*valid)._replace(**dict(zip(cls._fields, fields))),
+    "copy": lambda cls, valid, fields: copy.copy(tuple.__new__(cls, fields)),
+    "deepcopy": lambda cls, valid, fields: copy.deepcopy(tuple.__new__(cls, fields)),
+    "pickle": lambda cls, valid, fields: pickle.loads(pickle.dumps(tuple.__new__(cls, fields))),
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+    @pytest.mark.parametrize("cls, changes, error", INVALID_CHANGES)
+    def test_every_construction_path_checks(self, cls, changes, error, path):
+        build, valid = CONSTRUCTION_PATHS[path], VALID_FIELDS[cls]
+        made = build(cls, valid, valid)
+        assert type(made) is cls and made == cls(*valid)
+        invalid = tuple(changes.get(name, value) for name, value in zip(cls._fields, valid))
+        with pytest.raises(error):
+            build(cls, valid, invalid)
+
+    @pytest.mark.parametrize("cls, valid", [pytest.param(*item, id=item[0].__name__) for item in VALID_FIELDS.items()])
+    def test_valid_values_are_immutable_and_hashable(self, cls, valid):
+        value = cls(*valid)
+        assert value == cls(*valid) and hash(value) == hash(cls(*valid))
+        for name in (*cls._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, valid[0])
 
 
 def pixel_grid(carrier: Carrier) -> np.ndarray:
