@@ -5,7 +5,6 @@ from .errors import (
     CarrierTooSmallError,
     CorruptPayloadError,
     InsufficientSlackError,
-    LengthMismatchError,
     NameTooLongError,
     NoPayloadError,
     Not32BitError,
@@ -41,19 +40,14 @@ from .pe_format import (
 _STATSTEGO_NAMES = frozenset(
     {
         "Carrier",
-        "CarrierBlock",
-        "DetectionStatistic",
         "KeyPattern",
         "MessageLayout",
         "StatParams",
         "block_capacity",
         "derive_pattern",
-        "detect_bit",
-        "embed_bit",
+        "detect_blocks",
         "embed_message",
-        "extract_message",
         "normal_quantile",
-        "statistic",
     }
 )
 
@@ -75,7 +69,6 @@ __all__ = [
     "CorruptPayloadError",
     "EquivalenceReport",
     "InsufficientSlackError",
-    "LengthMismatchError",
     "NameTooLongError",
     "NoPayloadError",
     "Not32BitError",

@@ -281,10 +281,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except tuple(err for err, _ in _EXIT_BY_ERROR) as exc:
         print(f"pestego: error: {exc}", file=sys.stderr)
-        for err_type, code in _EXIT_BY_ERROR:
-            if isinstance(exc, err_type):
-                return code
-        return EXIT_CHECK_FAILED  # unreachable
+        return next(code for err_type, code in _EXIT_BY_ERROR if isinstance(exc, err_type))
 
 
 if __name__ == "__main__":

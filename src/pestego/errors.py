@@ -36,7 +36,7 @@ class StrictParseError(PeFormatError):
 
     def __init__(self, warnings: tuple[str, ...]):
         super().__init__("; ".join(warnings))
-        self.warnings = list(warnings)
+        self.warnings = warnings
 
 
 class UnmappedRvaError(PeStegoError):
@@ -73,10 +73,6 @@ class UnsafeNameError(PeStegoError):
 
 class OddBlockLengthError(PeStegoError):
     """Key patterns exist only for even block lengths."""
-
-
-class LengthMismatchError(PeStegoError):
-    """Pattern length differs from block length."""
 
 
 class BlockTooSmallError(PeStegoError):

@@ -19,7 +19,7 @@ from .pe_format import SECTION_HEADER_SIZE, Region, header_slack, parse_pe
 class EquivalenceReport(NamedTuple):
     identical_headers: bool
     identical_section_table: bool
-    diff_regions: list[Region]
+    diff_regions: tuple[Region, ...]
     diff_confined_to_slack: bool
     notes: tuple[str, ...] = ()
 
@@ -56,7 +56,7 @@ _CHUNK = 1 << 16
 _NONZERO_RUN = re.compile(rb"[^\x00]+")
 
 
-def _diff_regions(before: bytes, after: bytes) -> list[Region]:
+def _diff_regions(before: bytes, after: bytes) -> tuple[Region, ...]:
     """Maximal runs of differing bytes; a length mismatch adds the tail as one run.
 
     Equal 64 KiB chunks are skipped with one memcmp.  A differing chunk is
@@ -80,7 +80,7 @@ def _diff_regions(before: bytes, after: bytes) -> list[Region]:
     regions = [Region(start, end - start) for start, end in runs]
     if len(before) != len(after):
         regions.append(Region(n, max(len(before), len(after)) - n))
-    return regions
+    return tuple(regions)
 
 
 def compare(before: bytes, after: bytes) -> EquivalenceReport:

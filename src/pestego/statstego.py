@@ -8,6 +8,9 @@ difference of the C and D sample means; on clean blocks that statistic is
 asymptotically standard normal, so a one-sided test against the upper
 normal quantile recovers the bit without the original carrier.
 
+``embed_message`` and ``detect_blocks`` are the two operations.  Both work
+on a whole carrier; a single block is a carrier of one block.
+
 Pattern derivation is fixed so independent implementations agree byte for
 byte: FNV-1a (64-bit) hashes the key to a seed, splitmix64 expands the
 seed into a stream, and a Fisher-Yates shuffle with rejection-sampled
@@ -21,12 +24,10 @@ import math
 import struct
 from array import array
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import (
     BlockTooSmallError,
     CarrierTooSmallError,
-    LengthMismatchError,
     OddBlockLengthError,
 )
 
@@ -35,7 +36,7 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def key_seed(key: bytes) -> int:
+def _key_seed(key: bytes) -> int:
     """64-bit FNV-1a of the key bytes; the documented key-to-seed mix."""
     h = _FNV_OFFSET
     for b in key:
@@ -106,7 +107,7 @@ def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
     if block_len < 2:
         raise ValueError(f"block length must be >= 2, got {block_len}")
     bits = bytearray([1] * (block_len // 2) + [0] * (block_len // 2))
-    rng = _SplitMix64(key_seed(key))
+    rng = _SplitMix64(_key_seed(key))
     for i in range(block_len - 1, 0, -1):
         j = rng.below(i + 1)
         bits[i], bits[j] = bits[j], bits[i]
@@ -125,21 +126,6 @@ class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
             raise ValueError(
                 f"carrier of {self.width}x{self.height} needs {self.width * self.height} pixels, got {len(self.pixels)}"
             )
-
-
-class CarrierBlock(_Checked, namedtuple("CarrierBlock", "index values shape")):
-    """One block cut from a carrier; values row-major within the block, shape (rows, cols)."""
-
-    __slots__ = ()
-
-    def _check(self):
-        rows, cols = self.shape
-        if rows < 1 or cols < 1:
-            raise ValueError(f"block dimensions must be positive, got shape {self.shape}")
-        if rows * cols != len(self.values):
-            raise ValueError(f"shape {self.shape} does not match {len(self.values)} values")
-        if len(self.values) % 2:
-            raise OddBlockLengthError(f"block length {len(self.values)} is odd")
 
 
 class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alpha", defaults=(8, 8, 10, 0.05))):
@@ -201,23 +187,11 @@ class MessageLayout(_Checked, namedtuple("MessageLayout", "message_bits")):
         return cls(tuple(stripped.encode("ascii").translate(bytes.maketrans(b"01", b"\x00\x01"))))
 
 
-class DetectionStatistic(NamedTuple):
-    """Standardized C-minus-D mean difference for one block."""
-
-    q: float
-
-
-def _check_lengths(block: CarrierBlock, pattern: KeyPattern) -> None:
-    if len(pattern) != len(block.values):
-        raise LengthMismatchError(f"pattern length {len(pattern)} != block length {len(block.values)}")
-
-
 # The block kernel, in the standard library alone.  Blocks are numbered
 # row-major; pattern position p = r * block_cols + c is in-block row r,
 # column c.  Joining pixel row r of each block row gives a row in which
 # ``[c::block_cols]`` is pixel (r, c) of every block, so the kernel loops
-# over block positions, not blocks.  The per-block API is a one-block call
-# into the same functions, so batched and scalar results cannot differ.
+# over block positions, not blocks.
 
 # Largest block StatParams accepts.  With h = block_len / 2 the spread N
 # below is at most 2 * h**2 * 255**2, which stays under 2**63, so an
@@ -313,39 +287,6 @@ def _q(half: int, root: float, sum_c: int, sum_d: int, sum_sq: int) -> float:
     return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
-def embed_bit(block: CarrierBlock, pattern: KeyPattern, k: int, bit: int) -> CarrierBlock:
-    """Raise the C half by k (saturating at 255) for a 1 bit; no-op for 0."""
-    _check_lengths(block, pattern)
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if k < 1:
-        raise ValueError(f"strength k must be a positive integer, got {k}")
-    if bit == 0:
-        return block
-    values = bytearray(block.values)
-    _raise_blocks(values, block.shape[1], block.shape, pattern.bits, k, b"\x01")
-    return CarrierBlock(index=block.index, values=bytes(values), shape=block.shape)
-
-
-def statistic(block: CarrierBlock, pattern: KeyPattern) -> DetectionStatistic:
-    """Standardize the C/D mean difference for one block.
-
-    Uses unbiased sample variances (divisor n-1).  A constant block has no
-    spread to standardize against: q is 0 when the set means agree and a
-    signed infinity when they do not.
-    """
-    _check_lengths(block, pattern)
-    half = len(block.values) // 2
-    if half < 2:
-        raise BlockTooSmallError(f"need at least 2 values per set, block has {half}")
-    return DetectionStatistic(q=_block_q(block.values, block.shape[1], block.shape, pattern.bits, 1)[0])
-
-
-def detect_bit(stat: DetectionStatistic, params: StatParams) -> int:
-    """One-sided test: declare a mark only when q strictly exceeds z_alpha."""
-    return 1 if stat.q > params.z_alpha else 0
-
-
 def block_capacity(carrier: Carrier, params: StatParams) -> int:
     """Number of full blocks in row-major block order; edge remainders are skipped."""
     return (carrier.height // params.block_rows) * (carrier.width // params.block_cols)
@@ -371,7 +312,8 @@ def embed_message(carrier: Carrier, key: bytes, bits: MessageLayout, params: Sta
 def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> tuple[array, array]:
     """q (``array('d')``) and the detected bit (``array('B')``) of each of the first bit_count blocks.
 
-    The batched form of statistic and detect_bit, with z_alpha computed once.
+    q standardizes the C-minus-D mean difference by unbiased sample variances; a block with
+    no spread gives 0, or a signed infinity if the means differ.  A bit is 1 iff q > z_alpha.
     """
     if bit_count < 0:
         raise ValueError(f"bit count must be non-negative, got {bit_count}")
@@ -379,11 +321,6 @@ def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatPara
     shape = (params.block_rows, params.block_cols)
     q = _block_q(carrier.pixels, carrier.width, shape, derive_pattern(key, params.block_len).bits, bit_count)
     return q, array("B", map(params.z_alpha.__lt__, q))
-
-
-def extract_message(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> list[int]:
-    """Recover bit_count bits by testing each block's statistic."""
-    return detect_blocks(carrier, key, bit_count, params)[1].tolist()
 
 
 def normal_quantile(p: float) -> float:

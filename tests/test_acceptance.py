@@ -13,28 +13,24 @@ import random
 import numpy as np
 import pytest
 
+from one_block import detect_block, embed_block
 from pe_builder import build_pe
 
 from pestego import (
     Carrier,
-    CarrierBlock,
     InsufficientSlackError,
-    KeyPattern,
     MessageLayout,
     StatParams,
     capacity,
     compare,
     derive_pattern,
-    detect_bit,
-    embed_bit,
+    detect_blocks,
     embed_message,
-    extract_message,
     hide,
     parse_pe,
     retract,
     rva_to_va,
     serialize,
-    statistic,
 )
 from pestego.cli import main
 
@@ -113,13 +109,8 @@ def test_criterion_4_capacity_law():
 def test_criterion_5_null_calibration():
     """Clean 8x8 blocks: q mean in [-0.1, 0.1], variance in [0.8, 1.25], FPR(0.05) in [0.025, 0.075]."""
     rng = np.random.default_rng(33005)
-    pattern = derive_pattern(b"acceptance", 64)
-    qs = np.array(
-        [
-            statistic(CarrierBlock(0, rng.integers(0, 256, 64, dtype=np.uint8).tobytes(), (8, 8)), pattern).q
-            for _ in range(2000)
-        ]
-    )
+    blocks = [rng.integers(0, 256, 64, dtype=np.uint8).tobytes() for _ in range(2000)]
+    qs = np.array([detect_block(values, (8, 8), b"acceptance")[0] for values in blocks])
     mean, var = float(qs.mean()), float(qs.var(ddof=1))
     fpr = float(np.mean(qs > StatParams(alpha=0.05).z_alpha))
     ok = -0.1 <= mean <= 0.1 and 0.8 <= var <= 1.25 and 0.025 <= fpr <= 0.075
@@ -138,19 +129,18 @@ def test_criterion_6_detection_power():
     and Phi(-3.09) ~ 1e-3.
     """
     rng = np.random.default_rng(33006)
-    pattern = derive_pattern(b"acceptance", 64)
     params = StatParams(alpha=0.05)  # k=10, 8x8 defaults
     hits = 0
     for _ in range(1000):
         vals = rng.integers(0, 16, size=64, dtype=np.uint8).tobytes()
-        marked = embed_bit(CarrierBlock(0, vals, (8, 8)), pattern, params.k, 1)
-        hits += detect_bit(statistic(marked, pattern), params)
+        marked = embed_block(vals, (8, 8), b"acceptance", params.k, 1)
+        hits += detect_block(marked, (8, 8), b"acceptance", params.alpha)[1]
 
     bits = tuple(int(b) for b in rng.integers(0, 2, size=256))
     carrier = Carrier(128, 128, rng.integers(0, 16, size=128 * 128, dtype=np.uint8).tobytes())
     rt_params = StatParams(alpha=0.001)
     stego = embed_message(carrier, b"acceptance", MessageLayout(bits), rt_params)
-    recovered = extract_message(stego, b"acceptance", 256, rt_params)
+    recovered = detect_blocks(stego, b"acceptance", 256, rt_params)[1].tolist()
     correct = sum(a == b for a, b in zip(bits, recovered))
     ok = hits >= 990 and correct >= math.ceil(0.99 * 256)
     announce(6, ok, f"bit-1 recovery {hits}/1000, message round trip {correct}/256 bits")
@@ -158,10 +148,10 @@ def test_criterion_6_detection_power():
 
 def test_criterion_7_hand_computed_statistic():
     """Block [1,2,3,4] with mask [1,0,1,0]: q == -1/sqrt(2); after k=5 embed: q == 4/sqrt(2)."""
-    pattern = KeyPattern(bytes([1, 0, 1, 0]))
-    block = CarrierBlock(0, bytes([1, 2, 3, 4]), (1, 4))
-    q_clean = statistic(block, pattern).q
-    q_marked = statistic(embed_bit(block, pattern, 5, 1), pattern).q
+    assert derive_pattern(b"key", 4).bits == bytes([1, 0, 1, 0])
+    block = bytes([1, 2, 3, 4])
+    q_clean = detect_block(block, (1, 4), b"key")[0]
+    q_marked = detect_block(embed_block(block, (1, 4), b"key", 5, 1), (1, 4), b"key")[0]
     ok = abs(q_clean - (-1 / math.sqrt(2))) < 1e-9 and abs(q_marked - 4 / math.sqrt(2)) < 1e-9
     announce(7, ok, f"q_clean={q_clean:.12f}, q_marked={q_marked:.12f}")
 

@@ -90,9 +90,9 @@ def test_stat_side_loads_on_first_use(tmp_path):
     code = """
 from pestego.cli import main
 assert main(["stat-extract", "--in", "carrier.pgm", "--key", "k", "--bits", "2"]) == 0
-from pestego import Carrier, statistic
+from pestego import Carrier, detect_blocks
 import pestego.statstego
-assert Carrier is pestego.statstego.Carrier and statistic is pestego.statstego.statistic
+assert Carrier is pestego.statstego.Carrier and detect_blocks is pestego.statstego.detect_blocks
 """
     lines = run_python(code + NUMPY_LOADED, tmp_path)
     assert lines[0].startswith("bits: ")
@@ -116,14 +116,23 @@ assert main(["stat-extract", "--in", "stego.pgm", "--bits", "8", "--csv", *args]
 
 
 def test_export_list(tmp_path):
-    """Every exported name resolves and is listed once; the lazy ones are the statstego objects."""
+    """Every exported name resolves and is listed once; the lazy ones are exactly statstego's public objects."""
     code = NUMPY_LOADED + """
+import inspect
 import pestego, pestego.statstego
 assert len(pestego.__all__) == len(set(pestego.__all__)), pestego.__all__
 exported = {name: getattr(pestego, name) for name in pestego.__all__}
 lazy = pestego._STATSTEGO_NAMES
 assert lazy <= set(exported)
 assert all(exported[name] is getattr(pestego.statstego, name) for name in lazy)
+defined = {
+    name
+    for name, value in vars(pestego.statstego).items()
+    if not name.startswith("_")
+    and (inspect.isfunction(value) or inspect.isclass(value))
+    and value.__module__ == "pestego.statstego"
+}
+assert lazy == defined, (sorted(lazy - defined), sorted(defined - lazy))
 print("ok")
 """
     assert run_python("import pestego.cli\n" + code, tmp_path) == ["False", "ok"]

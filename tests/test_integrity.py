@@ -29,7 +29,7 @@ def stego_bytes(built, name="p.bin", data=bytes(range(40))):
 class TestCompare:
     def test_identity(self, spec_pe):
         report = compare(spec_pe.data, spec_pe.data)
-        assert report.diff_regions == []
+        assert report.diff_regions == ()
         assert report.diff_confined_to_slack
         assert report.identical_headers and report.identical_section_table
 
@@ -78,6 +78,15 @@ class TestCompare:
         report = compare(spec_pe.data, bytes(tampered))
         for a, b in zip(report.diff_regions, report.diff_regions[1:]):
             assert b.offset > a.end  # separated by at least one equal byte
+
+    def test_report_is_hashable_and_immutable(self, spec_pe):
+        """No field can be edited in place, so a report is hashable and equal reports hash alike."""
+        after = stego_bytes(spec_pe)
+        report = compare(spec_pe.data, after)
+        assert hash(report) == hash(compare(spec_pe.data, bytes(after)))
+        for field in (report.diff_regions, report.notes):
+            with pytest.raises(AttributeError):
+                field.append(None)
 
     def test_checksum_note(self):
         built = build_pe(header_slack=0x88, checksum=0xDEAD)

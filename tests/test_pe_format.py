@@ -127,8 +127,9 @@ class TestWarnings:
 
     def test_strict_promotes_to_error(self):
         built = build_pe(sections=[SectionPlan(raw_size=500)])
-        with pytest.raises(StrictParseError):
+        with pytest.raises(StrictParseError) as info:
             parse_pe(built.data, strict=True)
+        assert info.value.warnings == parse_pe(built.data).warnings  # the same tuple of warnings
 
     def test_empty_section_table(self):
         built = build_pe(num_sections=0)

@@ -11,34 +11,21 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import oracles
+from one_block import detect_block, embed_block
 from pestego import (
     BlockTooSmallError,
     Carrier,
-    CarrierBlock,
     CarrierTooSmallError,
-    DetectionStatistic,
     KeyPattern,
-    LengthMismatchError,
     MessageLayout,
     OddBlockLengthError,
     StatParams,
     block_capacity,
     derive_pattern,
-    detect_bit,
-    embed_bit,
+    detect_blocks,
     embed_message,
-    extract_message,
     normal_quantile,
-    statistic,
 )
-from pestego.statstego import detect_blocks
-
-
-def balanced_patterns(length: int):
-    """Random balanced masks of the given even length."""
-    return st.permutations([1] * (length // 2) + [0] * (length // 2)).map(
-        lambda bits: KeyPattern(bytes(bits))
-    )
 
 
 class TestPattern:
@@ -72,90 +59,97 @@ class TestPattern:
             KeyPattern(bytes([1, 2, 0, 0]))
 
 
+# Keys whose derived masks at block length 4 the tests below rely on.
+KEY_1010 = b"key"
+KEY_1100 = b"acceptance"
+
+
 class TestEmbedBit:
+    """One bit into a carrier of one block."""
+
     def test_example(self):
-        block = CarrierBlock(0, bytes([1, 2, 3, 4]), (1, 4))
-        out = embed_bit(block, KeyPattern(bytes([1, 0, 1, 0])), 5, 1)
-        assert list(out.values) == [6, 2, 8, 4]
+        assert derive_pattern(KEY_1010, 4).bits == bytes([1, 0, 1, 0])
+        assert list(embed_block(bytes([1, 2, 3, 4]), (1, 4), KEY_1010, 5, 1)) == [6, 2, 8, 4]
 
     @pytest.mark.parametrize("values, shape", [(bytes([1, 2, 3, 4]), (-1, -4)), (b"", (0, 0)), (b"", (0, 4))])
     def test_nonpositive_shape_refused(self, values, shape):
-        """Such a block once reached embed_bit and statistic, which returned it unchanged, q = 0 or ZeroDivisionError."""
+        """A block shape below 1 is refused as block parameters and as the carrier of one block."""
+        rows, cols = shape
         with pytest.raises(ValueError, match="positive"):
-            CarrierBlock(0, values, shape)
+            StatParams(rows, cols)
+        with pytest.raises(ValueError, match="positive"):
+            Carrier(cols, rows, values)
 
     def test_bit_zero_is_identity(self):
-        block = CarrierBlock(0, bytes([1, 2, 3, 4]), (1, 4))
-        assert embed_bit(block, KeyPattern(bytes([1, 0, 1, 0])), 200, 0) == block
+        assert embed_block(bytes([1, 2, 3, 4]), (1, 4), KEY_1010, 200, 0) == bytes([1, 2, 3, 4])
 
     def test_saturation(self):
-        block = CarrierBlock(0, bytes([253, 2, 3, 4]), (1, 4))
-        out = embed_bit(block, KeyPattern(bytes([1, 0, 1, 0])), 5, 1)
-        assert list(out.values) == [255, 2, 8, 4]
+        assert derive_pattern(KEY_1010, 4).bits == bytes([1, 0, 1, 0])
+        assert list(embed_block(bytes([253, 2, 3, 4]), (1, 4), KEY_1010, 5, 1)) == [255, 2, 8, 4]
 
     @given(
-        data=st.data(),
+        key=st.binary(max_size=8),
         values=st.lists(st.integers(0, 255), min_size=8, max_size=8),
         k=st.integers(1, 300),
         bit=st.integers(0, 1),
     )
-    def test_matches_oracle(self, data, values, k, bit):
-        pattern = data.draw(balanced_patterns(8))
-        out = embed_bit(CarrierBlock(0, bytes(values), (2, 4)), pattern, k, bit)
-        assert list(out.values) == oracles.embed_by_hand(values, pattern.bits, k, bit)
+    def test_matches_oracle(self, key, values, k, bit):
+        out = embed_block(bytes(values), (2, 4), key, k, bit)
+        assert list(out) == oracles.embed_by_hand(values, derive_pattern(key, 8).bits, k, bit)
 
 
 class TestStatistic:
+    """q of a carrier of one block."""
+
     def test_hand_computed_clean(self):
-        stat = statistic(CarrierBlock(0, bytes([1, 2, 3, 4]), (1, 4)), KeyPattern(bytes([1, 0, 1, 0])))
-        assert stat.q == pytest.approx(-1 / math.sqrt(2), abs=1e-9)
+        assert derive_pattern(KEY_1010, 4).bits == bytes([1, 0, 1, 0])
+        q, _ = detect_block(bytes([1, 2, 3, 4]), (1, 4), KEY_1010)
+        assert q == pytest.approx(-1 / math.sqrt(2), abs=1e-9)
 
     def test_hand_computed_embedded(self):
-        stat = statistic(CarrierBlock(0, bytes([6, 2, 8, 4]), (1, 4)), KeyPattern(bytes([1, 0, 1, 0])))
-        assert stat.q == pytest.approx(4 / math.sqrt(2), abs=1e-9)
+        assert derive_pattern(KEY_1010, 4).bits == bytes([1, 0, 1, 0])
+        q, _ = detect_block(bytes([6, 2, 8, 4]), (1, 4), KEY_1010)
+        assert q == pytest.approx(4 / math.sqrt(2), abs=1e-9)
 
     def test_constant_block(self):
-        stat = statistic(CarrierBlock(0, bytes([5, 5, 5, 5]), (1, 4)), KeyPattern(bytes([1, 0, 1, 0])))
-        assert stat.q == 0.0
+        assert detect_block(bytes([5, 5, 5, 5]), (1, 4), KEY_1010)[0] == 0.0
 
     def test_zero_spread_unequal_means(self):
-        stat = statistic(CarrierBlock(0, bytes([5, 5, 3, 3]), (1, 4)), KeyPattern(bytes([1, 1, 0, 0])))
-        assert stat.q == math.inf
-        stat = statistic(CarrierBlock(0, bytes([3, 3, 5, 5]), (1, 4)), KeyPattern(bytes([1, 1, 0, 0])))
-        assert stat.q == -math.inf
+        assert derive_pattern(KEY_1100, 4).bits == bytes([1, 1, 0, 0])
+        assert detect_block(bytes([5, 5, 3, 3]), (1, 4), KEY_1100)[0] == math.inf
+        assert detect_block(bytes([3, 3, 5, 5]), (1, 4), KEY_1100)[0] == -math.inf
 
     def test_block_too_small(self):
+        """Fewer than two values per set cannot be standardized; the block parameters refuse it."""
         with pytest.raises(BlockTooSmallError):
-            statistic(CarrierBlock(0, bytes([1, 2]), (1, 2)), KeyPattern(bytes([1, 0])))
+            detect_block(bytes([1, 2]), (1, 2), KEY_1010)
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            statistic(CarrierBlock(0, bytes(4), (1, 4)), KeyPattern(bytes([1, 0] * 3)))
-
-    @given(data=st.data(), values=st.lists(st.integers(0, 255), min_size=16, max_size=16))
-    def test_matches_oracle(self, data, values):
-        pattern = data.draw(balanced_patterns(16))
-        stat = statistic(CarrierBlock(0, bytes(values), (4, 4)), pattern)
-        expected = oracles.q_statistic(values, pattern.bits)
+    @given(key=st.binary(max_size=8), values=st.lists(st.integers(0, 255), min_size=16, max_size=16))
+    def test_matches_oracle(self, key, values):
+        q, _ = detect_block(bytes(values), (4, 4), key)
+        expected = oracles.q_statistic(values, derive_pattern(key, 16).bits)
         if math.isinf(expected):
-            assert stat.q == expected
+            assert q == expected
         else:
-            assert stat.q == pytest.approx(expected, abs=1e-9)
+            assert q == pytest.approx(expected, abs=1e-9)
 
 
 class TestDetect:
     def test_detects_marked(self):
-        params = StatParams(alpha=0.05)
-        assert detect_bit(DetectionStatistic(q=2.8284), params) == 1
+        assert derive_pattern(KEY_1010, 4).bits == bytes([1, 0, 1, 0])
+        q, bit = detect_block(bytes([6, 2, 8, 4]), (1, 4), KEY_1010, alpha=0.05)
+        assert q == pytest.approx(2.8284, abs=1e-4) and bit == 1
 
     def test_null_not_detected(self):
         for alpha in (0.05, 0.2, 0.49):
-            assert detect_bit(DetectionStatistic(q=0.0), StatParams(alpha=alpha)) == 0
+            assert detect_block(bytes([5, 5, 5, 5]), (1, 4), KEY_1010, alpha) == (0.0, 0)
 
     def test_strictly_greater(self):
-        params = StatParams(alpha=0.05)
-        assert detect_bit(DetectionStatistic(q=params.z_alpha), params) == 0
-        assert detect_bit(DetectionStatistic(q=params.z_alpha + 1e-9), params) == 1
+        """At alpha 0.5 z_alpha is exactly 0: q = 0 reads 0, any q above it reads 1."""
+        assert StatParams(alpha=0.5).z_alpha == 0.0
+        assert derive_pattern(KEY_1010, 4).bits == bytes([1, 0, 1, 0])
+        assert detect_block(bytes([5, 5, 5, 5]), (1, 4), KEY_1010, alpha=0.5) == (0.0, 0)
+        assert detect_block(bytes([2, 1, 2, 1]), (1, 4), KEY_1010, alpha=0.5) == (math.inf, 1)
 
 
 class TestQuantile:
@@ -211,10 +205,8 @@ class TestParams:
 VALID_FIELDS = {
     KeyPattern: (b"\x01\x00",),
     Carrier: (2, 1, b"ab"),
-    CarrierBlock: (0, bytes([1, 2, 3, 4]), (1, 4)),
     StatParams: (8, 8, 10, 0.05),
     MessageLayout: ((0, 1),),
-    DetectionStatistic: (1.5,),
 }
 
 # (type, fields to change in its VALID_FIELDS, the exception the changed fields raise)
@@ -222,8 +214,8 @@ INVALID_CHANGES = [
     pytest.param(KeyPattern, {"bits": b"\x01\x01"}, ValueError, id="KeyPattern-unbalanced"),
     pytest.param(Carrier, {"width": 0, "height": 0, "pixels": b""}, ValueError, id="Carrier-empty"),
     pytest.param(Carrier, {"pixels": b"abc"}, ValueError, id="Carrier-pixel-count"),
-    pytest.param(CarrierBlock, {"shape": (-1, -4)}, ValueError, id="CarrierBlock-negative-shape"),
-    pytest.param(CarrierBlock, {"values": b"abc", "shape": (1, 3)}, OddBlockLengthError, id="CarrierBlock-odd"),
+    pytest.param(StatParams, {"block_rows": -1, "block_cols": -4}, ValueError, id="StatParams-negative-shape"),
+    pytest.param(StatParams, {"block_rows": 1, "block_cols": 3}, OddBlockLengthError, id="StatParams-odd"),
     pytest.param(StatParams, {"k": 0}, ValueError, id="StatParams-k"),
     pytest.param(StatParams, {"block_rows": 1, "block_cols": 2}, BlockTooSmallError, id="StatParams-block"),
     pytest.param(MessageLayout, {"message_bits": (0, 2)}, ValueError, id="MessageLayout-bits"),
@@ -286,7 +278,7 @@ class TestMessage:
         with pytest.raises(CarrierTooSmallError):
             embed_message(carrier, b"k", MessageLayout((1,) * 5), StatParams())
         with pytest.raises(CarrierTooSmallError):
-            extract_message(carrier, b"k", 5, StatParams())
+            detect_blocks(carrier, b"k", 5, StatParams())
 
     def test_all_zero_message_is_identity(self):
         rng = np.random.default_rng(7)
@@ -323,24 +315,24 @@ class TestMessage:
         bits = tuple(int(b) for b in rng.integers(0, 2, size=16))
         params = StatParams(alpha=0.001)
         stego = embed_message(carrier, b"shared-key", MessageLayout(bits), params)
-        assert tuple(extract_message(stego, b"shared-key", 16, params)) == bits
+        assert tuple(detect_blocks(stego, b"shared-key", 16, params)[1]) == bits
 
     def test_extract_zero_bits(self):
         rng = np.random.default_rng(11)
         carrier = uniform_carrier(rng, 16, 16)
-        assert extract_message(carrier, b"k", 0, StatParams()) == []
+        q, bits = detect_blocks(carrier, b"k", 0, StatParams())
+        assert q.tolist() == [] and bits.tolist() == []
         with pytest.raises(ValueError):
-            extract_message(carrier, b"k", -1, StatParams())
+            detect_blocks(carrier, b"k", -1, StatParams())
 
     def test_extraction_matches_per_block_detection(self):
         rng = np.random.default_rng(12)
         carrier = uniform_carrier(rng, 32, 32, high=16)
         params = StatParams()
-        bits = extract_message(carrier, b"k", 16, params)
-        pattern = derive_pattern(b"k", params.block_len)
-        grid = pixel_grid(carrier)
-        blocks = [one_block(grid, params, index, r, c) for index, r, c in loop_blocks(carrier, params)]
-        assert bits == [detect_bit(statistic(block, pattern), params) for block in blocks]
+        bits = detect_blocks(carrier, b"k", 16, params)[1].tolist()
+        grid, shape = pixel_grid(carrier), (params.block_rows, params.block_cols)
+        blocks = [block_pixels(grid, params, r, c) for _, r, c in loop_blocks(carrier, params)]
+        assert bits == [detect_block(values, shape, b"k", params.alpha)[1] for values in blocks]
 
 
 def block_shapes():
@@ -371,13 +363,13 @@ def loop_blocks(carrier: Carrier, params: StatParams):
             index += 1
 
 
-def one_block(grid: np.ndarray, params: StatParams, index: int, r: int, c: int) -> CarrierBlock:
-    window = grid[r : r + params.block_rows, c : c + params.block_cols]
-    return CarrierBlock(index, window.tobytes(), (params.block_rows, params.block_cols))
+def block_pixels(grid: np.ndarray, params: StatParams, r: int, c: int) -> bytes:
+    """Pixels of the block whose top left corner is (r, c), row-major."""
+    return grid[r : r + params.block_rows, c : c + params.block_cols].tobytes()
 
 
 class TestBlockKernel:
-    """The batched kernel against one-row calls, the oracle and the old per-block loops."""
+    """The batched kernel against carriers of one block and the oracles."""
 
     @given(case=kernel_cases())
     @example(case=(uniform_carrier(np.random.default_rng(4), 26, 13), StatParams(4, 6, alpha=0.01), b"k"))
@@ -388,17 +380,15 @@ class TestBlockKernel:
         pattern = derive_pattern(key, params.block_len)
         q, bits = detect_blocks(carrier, key, n, params)
         assert q.typecode == "d" and bits.typecode == "B" and len(q) == len(bits) == n
-        grid = pixel_grid(carrier)
+        grid, shape = pixel_grid(carrier), (params.block_rows, params.block_cols)
         for index, r, c in loop_blocks(carrier, params):
-            block = one_block(grid, params, index, r, c)
-            one = statistic(block, pattern)
-            assert q[index] == one.q
-            assert bits[index] == detect_bit(one, params)
-            expected = oracles.q_statistic(list(block.values), pattern.bits)
+            values = block_pixels(grid, params, r, c)
+            assert (q[index], bits[index]) == detect_block(values, shape, key, params.alpha)
+            expected = oracles.q_statistic(list(values), pattern.bits)
             if math.isinf(expected):
-                assert one.q == expected
+                assert q[index] == expected
             else:
-                assert one.q == pytest.approx(expected, abs=1e-9)
+                assert q[index] == pytest.approx(expected, abs=1e-9)
 
     @given(case=kernel_cases(), data=st.data())
     def test_fewer_bits_read_a_prefix(self, case, data):
@@ -433,13 +423,14 @@ class TestBlockKernel:
         message = tuple(data.draw(st.lists(st.integers(0, 1), max_size=n)))
         out = embed_message(carrier, key, MessageLayout(message), params)
         pattern = derive_pattern(key, params.block_len)
-        grid = pixel_grid(carrier).copy()
+        grid, shape = pixel_grid(carrier).copy(), (params.block_rows, params.block_cols)
         for index, r, c in loop_blocks(carrier, params):
             if index < len(message):
-                marked = embed_bit(one_block(grid, params, index, r, c), pattern, params.k, message[index])
-                grid[r : r + params.block_rows, c : c + params.block_cols] = np.frombuffer(
-                    marked.values, dtype=np.uint8
-                ).reshape(params.block_rows, params.block_cols)
+                values = block_pixels(grid, params, r, c)
+                marked = embed_block(values, shape, key, params.k, message[index])
+                assert list(marked) == oracles.embed_by_hand(values, pattern.bits, params.k, message[index])
+                block = np.frombuffer(marked, dtype=np.uint8).reshape(shape)
+                grid[r : r + params.block_rows, c : c + params.block_cols] = block
         assert out.pixels == grid.tobytes()
         before, after = pixel_grid(carrier), pixel_grid(out)
         full_h = carrier.height - carrier.height % params.block_rows
@@ -558,13 +549,8 @@ class TestDistributions:
 
     def test_null_calibration(self):
         rng = np.random.default_rng(1001)
-        pattern = derive_pattern(b"calibration", 64)
-        qs = np.array(
-            [
-                statistic(CarrierBlock(0, rng.integers(0, 256, 64, dtype=np.uint8).tobytes(), (8, 8)), pattern).q
-                for _ in range(2000)
-            ]
-        )
+        blocks = [rng.integers(0, 256, 64, dtype=np.uint8).tobytes() for _ in range(2000)]
+        qs = np.array([detect_block(values, (8, 8), b"calibration")[0] for values in blocks])
         assert -0.1 <= qs.mean() <= 0.1
         assert 0.8 <= qs.var(ddof=1) <= 1.25
         for alpha in (0.05, 0.01):
@@ -573,31 +559,27 @@ class TestDistributions:
 
     def test_mean_shift_at_k1(self):
         rng = np.random.default_rng(1002)
-        pattern = derive_pattern(b"shift", 64)
         clean, marked = [], []
         for _ in range(1000):
-            block = CarrierBlock(0, rng.integers(0, 32, 64, dtype=np.uint8).tobytes(), (8, 8))
-            clean.append(statistic(block, pattern).q)
-            marked.append(statistic(embed_bit(block, pattern, 1, 1), pattern).q)
+            values = rng.integers(0, 32, 64, dtype=np.uint8).tobytes()
+            clean.append(detect_block(values, (8, 8), b"shift")[0])
+            marked.append(detect_block(embed_block(values, (8, 8), b"shift", 1, 1), (8, 8), b"shift")[0])
         assert np.mean(marked) - np.mean(clean) > 0
 
     def test_wrong_key_gives_no_signal(self):
         rng = np.random.default_rng(1003)
-        right = derive_pattern(b"right-key", 64)
-        params = StatParams()
         hits_right = hits_wrong = 0
         q_wrong_total = 0.0
         trials_per_key = 40
         wrong_keys = [f"wrong-{i}".encode() for i in range(50)]
         for wrong_key in wrong_keys:
-            wrong = derive_pattern(wrong_key, 64)
             for _ in range(trials_per_key):
-                block = CarrierBlock(0, rng.integers(0, 16, 64, dtype=np.uint8).tobytes(), (8, 8))
-                marked = embed_bit(block, right, 10, 1)
-                hits_right += detect_bit(statistic(marked, right), params)
-                stat = statistic(marked, wrong)
-                hits_wrong += detect_bit(stat, params)
-                q_wrong_total += stat.q
+                values = rng.integers(0, 16, 64, dtype=np.uint8).tobytes()
+                marked = embed_block(values, (8, 8), b"right-key", 10, 1)
+                hits_right += detect_block(marked, (8, 8), b"right-key")[1]
+                q, bit = detect_block(marked, (8, 8), wrong_key)
+                hits_wrong += bit
+                q_wrong_total += q
         n = len(wrong_keys) * trials_per_key
         assert hits_right / n >= 0.99
         # pooled over many wrong keys the statistic carries no mark signal
