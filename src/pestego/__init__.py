@@ -16,20 +16,17 @@ from .errors import (
     SlackOccupiedError,
     StrictParseError,
     TruncatedError,
-    UnmappedRvaError,
     UnsafeNameError,
 )
-from .integrity import EquivalenceReport, compare, validate_pe
+from .integrity import EquivalenceReport, compare
 from .payload import CapacityReport, PayloadRecord, capacity, hide, retract, write_extracted_file
 from .pe_format import (
     NtHeaders,
     PeImage,
     Region,
     SectionHeader,
-    file_offset_to_rva,
     header_slack,
     parse_pe,
-    rva_to_file_offset,
     rva_to_va,
     section_slack,
     serialize,
@@ -85,20 +82,16 @@ __all__ = [
     "SlackOccupiedError",
     "StrictParseError",
     "TruncatedError",
-    "UnmappedRvaError",
     "UnsafeNameError",
     "capacity",
     "compare",
-    "file_offset_to_rva",
     "header_slack",
     "hide",
     "parse_pe",
     "retract",
-    "rva_to_file_offset",
     "rva_to_va",
     "section_slack",
     "serialize",
-    "validate_pe",
     "write_extracted_file",
     *sorted(_STATSTEGO_NAMES),
 ]

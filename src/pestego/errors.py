@@ -39,10 +39,6 @@ class StrictParseError(PeFormatError):
         self.warnings = warnings
 
 
-class UnmappedRvaError(PeStegoError):
-    """RVA falls outside the headers and every section."""
-
-
 # --- payload hiding -------------------------------------------------------
 
 class NameTooLongError(PeStegoError):
@@ -66,7 +62,7 @@ class CorruptPayloadError(PeStegoError):
 
 
 class UnsafeNameError(PeStegoError):
-    """Recovered file name is not a plain file name."""
+    """Payload file name is not a plain file name."""
 
 
 # --- statistical embedding ------------------------------------------------

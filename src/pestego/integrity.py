@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import PeFormatError
 from .pe_format import SECTION_HEADER_SIZE, Region, header_slack, parse_pe
 
 
@@ -112,12 +111,3 @@ def compare(before: bytes, after: bytes) -> EquivalenceReport:
         diff_confined_to_slack=confined,
         notes=tuple(notes),
     )
-
-
-def validate_pe(data: bytes) -> list[str]:
-    """Parse errors and layout warnings as plain strings; empty means clean."""
-    try:
-        image = parse_pe(data)
-    except PeFormatError as exc:
-        return [f"{type(exc).__name__}: {exc}"]
-    return list(image.warnings)

@@ -36,12 +36,28 @@ MAX_NAME_BYTES = 255
 FIXED_OVERHEAD = 14  # magic + name_len + data_len + crc
 
 
+def safe_file_name(name: str) -> str:
+    """Validate that a payload name is a plain file name, not a path."""
+    if (
+        not name
+        or name in (".", "..")
+        or "\x00" in name
+        or "/" in name
+        or "\\" in name
+        or name != os.path.basename(name)
+    ):
+        raise UnsafeNameError(f"refusing to write unsafe file name {name!r}")
+    return name
+
+
 def _encode_name(name: str) -> bytes:
+    """UTF-8 bytes of a name that ``extract`` will be able to write back."""
     encoded = name.encode("utf-8")
     if not encoded:
         raise NameTooLongError("name must encode to at least 1 byte")
     if len(encoded) > MAX_NAME_BYTES:
         raise NameTooLongError(f"name encodes to {len(encoded)} bytes, limit is {MAX_NAME_BYTES}")
+    safe_file_name(name)
     return encoded
 
 
@@ -147,20 +163,6 @@ def retract(image: PeImage) -> tuple[str, bytes]:
     region = header_slack(image)
     record = PayloadRecord.decode(image.read(region.offset, region.length))
     return record.name, record.data
-
-
-def safe_file_name(name: str) -> str:
-    """Validate that a recovered name is a plain file name, not a path."""
-    if (
-        not name
-        or name in (".", "..")
-        or "\x00" in name
-        or "/" in name
-        or "\\" in name
-        or name != os.path.basename(name)
-    ):
-        raise UnsafeNameError(f"refusing to write unsafe file name {name!r}")
-    return name
 
 
 def write_extracted_file(name: str, data: bytes, out_dir: str) -> str:

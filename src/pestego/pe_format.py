@@ -18,7 +18,6 @@ from .errors import (
     NotPeError,
     StrictParseError,
     TruncatedError,
-    UnmappedRvaError,
 )
 
 DOS_MAGIC = b"MZ"
@@ -250,32 +249,6 @@ def rva_to_va(image_base: int, rva: int) -> int:
     if va >= ADDRESS_LIMIT_32:
         raise OverflowError(f"0x{image_base:X} + 0x{rva:X} exceeds the 32-bit address space")
     return va
-
-
-def rva_to_file_offset(image: PeImage, rva: int) -> int:
-    """Map an RVA to its on-disk offset via the section table.
-
-    RVAs below the first section but inside SizeOfHeaders map to themselves
-    (headers load at file offset 0).
-    """
-    for sec in image.sections:
-        span = max(sec.virtual_size, sec.size_of_raw_data)
-        if sec.virtual_address <= rva < sec.virtual_address + span:
-            return sec.pointer_to_raw_data + (rva - sec.virtual_address)
-    first_va = min((s.virtual_address for s in image.sections), default=image.nt_headers.size_of_headers)
-    if rva < first_va and rva < image.nt_headers.size_of_headers:
-        return rva
-    raise UnmappedRvaError(f"RVA 0x{rva:X} is outside the headers and every section")
-
-
-def file_offset_to_rva(image: PeImage, offset: int) -> int:
-    """Inverse of :func:`rva_to_file_offset` for offsets inside raw data."""
-    for sec in image.sections:
-        if sec.size_of_raw_data and sec.pointer_to_raw_data <= offset < sec.pointer_to_raw_data + sec.size_of_raw_data:
-            return sec.virtual_address + (offset - sec.pointer_to_raw_data)
-    if offset < image.nt_headers.size_of_headers:
-        return offset
-    raise UnmappedRvaError(f"file offset 0x{offset:X} is outside the headers and every section's raw data")
 
 
 def header_slack(image: PeImage) -> Region:

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -143,6 +144,15 @@ class TestEmbedExtract:
         assert run(capsys, "extract", "--in", stego, "--out", outdir)[0] == 0
         assert [p.name for p in outdir.iterdir()] == ["secret.bin"]
         assert (outdir / "secret.bin").read_bytes() == payload_file.read_bytes()
+
+    @pytest.mark.parametrize("command", ["capacity", "embed"])
+    def test_unsafe_name_refused(self, capsys, tmp_path, cover, payload_file, command):
+        io_flags = ("--payload", payload_file, "--out", tmp_path / "s.exe") if command == "embed" else ()
+        code, out, err = run(capsys, command, "--in", cover, "--name", "../evil", *io_flags)
+        assert code == 1
+        assert "unsafe file name" in err
+        assert out == ""
+        assert not (tmp_path / "s.exe").exists()
 
     def test_custom_name(self, capsys, tmp_path, cover, payload_file):
         stego = tmp_path / "stego.exe"
@@ -315,6 +325,36 @@ def test_stat_extract_accepts_what_stat_embed_accepts(stat_files, block, alpha, 
     assert code in (0, 2, 7)
     if code == 0:
         assert quiet_main("stat-extract", *common, "--bits", 1) == 0
+
+
+@pytest.fixture(scope="module")
+def pe_files(tmp_path_factory):
+    """A cover PE and a payload file, shared by the examples of a property."""
+    folder = tmp_path_factory.mktemp("pe")
+    (folder / "cover.exe").write_bytes(build_pe(header_slack=0x88).data)
+    (folder / "secret.bin").write_bytes(bytes(range(50)))
+    return folder
+
+
+@given(
+    name=st.one_of(
+        st.sampled_from([".", ".."]),
+        st.text(st.one_of(st.sampled_from("./\\\x00"), st.characters()), max_size=12),
+    )
+)
+@example(name="../evil")
+@example(name="a\\b")
+def test_extract_recovers_every_name_embed_accepts(pe_files, name):
+    stego = pe_files / "stego.exe"
+    payload = pe_files / "secret.bin"
+    code = quiet_main("embed", "--in", pe_files / "cover.exe", "--payload", payload, f"--name={name}", "--out", stego)
+    if code != 0:
+        return
+    with tempfile.TemporaryDirectory(dir=pe_files) as outdir:
+        assert quiet_main("extract", "--in", stego, "--out", outdir) == 0
+        assert os.listdir(outdir) == [name]
+        with open(os.path.join(outdir, name), "rb") as fh:
+            assert fh.read() == payload.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["embed", "extract", "stat-embed", "verify"])

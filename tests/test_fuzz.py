@@ -28,7 +28,6 @@ from pestego import (
     retract,
     section_slack,
     serialize,
-    validate_pe,
 )
 from pestego.pgm import decode_pgm, encode_pgm
 
@@ -76,7 +75,6 @@ def folder(tmp_path_factory):
 @settings(max_examples=150)
 @given(data=pe_files)
 def test_pe_library(data):
-    validate_pe(data)
     domain_errors_only(compare, COVER.data, data)
     image = domain_errors_only(parse_pe, data)
     if image is None:

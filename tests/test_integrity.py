@@ -17,7 +17,6 @@ from pestego import (
     hide,
     parse_pe,
     serialize,
-    validate_pe,
 )
 from pestego.integrity import _diff_regions
 
@@ -165,18 +164,3 @@ class TestReportFormats:
         report = compare(spec_pe.data, stego_bytes(spec_pe))
         text = "\n".join(report.summary_lines())
         assert "diff confined to slack:   yes" in text
-
-
-class TestValidate:
-    def test_clean(self, spec_pe):
-        assert validate_pe(spec_pe.data) == []
-
-    def test_overlap(self):
-        built = build_pe(num_sections=2, overlap_sections=True)
-        violations = validate_pe(built.data)
-        assert any("overlap" in v for v in violations)
-
-    def test_not_pe(self):
-        violations = validate_pe(b"garbage bytes")
-        assert len(violations) == 1
-        assert "NotMz" in violations[0]

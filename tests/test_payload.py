@@ -28,8 +28,12 @@ from pestego import (
     write_extracted_file,
 )
 
-names = st.text(min_size=1, max_size=40)
+# Plain file names only: path separators, NUL, "." and ".." are refused on both sides.
+names = st.text(min_size=1, max_size=40).filter(
+    lambda name: not any(c in name for c in "/\\\x00") and name not in (".", "..")
+)
 payloads = st.binary(max_size=90)
+UNSAFE_NAMES = ["../x", "a/b", "a\\b", "..", ".", "", "/etc/passwd", "a\x00b"]
 
 
 class TestCrc:
@@ -148,6 +152,17 @@ class TestHideRetract:
             return
         assert retract(hide(image, name, data)) == (name, data)
 
+    @pytest.mark.parametrize("name", UNSAFE_NAMES)
+    def test_unsafe_names_refused(self, spec_pe, name):
+        image = parse_pe(spec_pe.data)
+        error = NameTooLongError if name == "" else UnsafeNameError
+        with pytest.raises(error):
+            PayloadRecord(name, b"data").encode()
+        with pytest.raises(error):
+            capacity(image, name)
+        with pytest.raises(error):
+            hide(image, name, b"data")
+
     def test_capacity_boundary(self, spec_pe):
         image = parse_pe(spec_pe.data)
         usable = capacity(image, "p.bin").usable
@@ -221,7 +236,7 @@ class TestWriteExtractedFile:
         with open(path, "rb") as fh:
             assert fh.read() == bytes(50)
 
-    @pytest.mark.parametrize("name", ["../x", "a/b", "a\\b", "..", ".", "", "/etc/passwd", "a\x00b"])
+    @pytest.mark.parametrize("name", UNSAFE_NAMES)
     def test_unsafe_names(self, name, tmp_path):
         with pytest.raises(UnsafeNameError):
             write_extracted_file(name, b"", str(tmp_path))

@@ -15,11 +15,8 @@ from pestego import (
     Region,
     StrictParseError,
     TruncatedError,
-    UnmappedRvaError,
-    file_offset_to_rva,
     header_slack,
     parse_pe,
-    rva_to_file_offset,
     rva_to_va,
     section_slack,
     serialize,
@@ -151,34 +148,6 @@ class TestAddresses:
     def test_rva_to_va_overflow(self):
         with pytest.raises(OverflowError):
             rva_to_va(0xFFFFFFFF, 0x2)
-
-    def test_rva_inside_section(self):
-        # one section at va 0x1000 whose raw data starts at 0x200
-        built = build_pe(header_slack=0x88)
-        image = parse_pe(built.data)
-        sec = image.sections[0]
-        assert sec.virtual_address == 0x1000
-        assert sec.pointer_to_raw_data == built.size_of_headers
-        expected = sec.pointer_to_raw_data + 0x10
-        assert rva_to_file_offset(image, 0x1010) == expected
-
-    def test_rva_in_headers_is_identity(self, spec_pe):
-        image = parse_pe(spec_pe.data)
-        assert rva_to_file_offset(image, 0x0) == 0x0
-
-    def test_rva_unmapped(self, spec_pe):
-        image = parse_pe(spec_pe.data)
-        with pytest.raises(UnmappedRvaError):
-            rva_to_file_offset(image, 0x7000_0000)
-
-    def test_offset_roundtrip(self, corpus):
-        for built in corpus:
-            image = parse_pe(built.data)
-            for sec in image.sections:
-                span = min(sec.virtual_size, sec.size_of_raw_data)
-                for delta in {0, span // 2, span - 1}:
-                    rva = sec.virtual_address + delta
-                    assert file_offset_to_rva(image, rva_to_file_offset(image, rva)) == rva
 
 
 class TestSlack:
