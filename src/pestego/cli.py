@@ -178,20 +178,63 @@ def cmd_stat_embed(args) -> int:
     return EXIT_OK
 
 
+# Fewest blocks per share. Split in two, a --csv read of 4,096 blocks saved 0.7-2 ms of 17-34 ms
+# (break-even) and one of 8,192 saved 9-10 ms, with 8x8, 16x16 and 4x6 blocks (2-CPU Xeon, median of 15).
+MIN_SHARE = 4096
+
+
+def _share_text(carrier, key: bytes, params, first: int, end: int, csv: bool) -> str:
+    """The bit digits of the carrier's first end - first blocks, then their listing lines numbered from first."""
+    from .statstego import detect_blocks
+
+    q, bits = detect_blocks(carrier, key, end - first, params)
+    digits = bits.tobytes().translate(bytes.maketrans(b"\0\1", b"01")).decode()
+    if csv:
+        return digits + "".join([f"{i},{qi!r},{bit}\n" for i, qi, bit in zip(range(first, end), q, bits)])
+    return digits + "".join([f"block {i}: q={qi:+.6f} bit={bit}\n" for i, qi, bit in zip(range(first, end), q, bits)])
+
+
 def cmd_stat_extract(args) -> int:
     from . import statstego
 
     params = _stat_params(args)
     carrier = _read_carrier(args)
     key = _parse_key(args.key)
-    q, bits = statstego.detect_blocks(carrier, key, args.bits, params)
-    q, bits = q.tolist(), bits.tolist()
-    if args.csv:
-        lines = ["block,q,bit"] + [f"{i},{qi!r},{bit}" for i, (qi, bit) in enumerate(zip(q, bits))]
-    else:
-        lines = ["bits: " + "".join(map(str, bits))]
-        lines += [f"block {i}: q={qi:+.6f} bit={bit}" for i, (qi, bit) in enumerate(zip(q, bits))]
-    sys.stdout.write("\n".join(lines) + "\n")
+    params.z_alpha  # noqa: B018 -- imports statistics once, here, rather than in every worker
+    # one share of whole block rows per usable CPU; a --bits that detect_blocks refuses gets one share
+    per_row = carrier.width // params.block_cols
+    rows = -(-args.bits // per_row) if 0 < args.bits <= statstego.block_capacity(carrier, params) else 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+    shares = max(1, min(cpus, args.bits // MIN_SHARE, rows))
+    cuts = [rows * i // shares * per_row for i in range(shares)] + [args.bits]
+    pipes, pids = [], []
+    try:
+        for first, end in zip(cuts[1:], cuts[2:]):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as out:
+                pids.append(os.fork())
+                if pids[-1] == 0:  # the worker: it leaves through os._exit, never returning to the caller
+                    try:
+                        for pipe in pipes:  # the parent stays the only reader, so no worker waits on an unread pipe
+                            pipe.close()
+                        pixels = carrier.pixels[first // per_row * params.block_rows * carrier.width :]
+                        crop = statstego.Carrier(carrier.width, len(pixels) // carrier.width, pixels)
+                        out.write(_share_text(crop, key, params, first, end, args.csv).encode())
+                        out.close()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+        parts = [_share_text(carrier, key, params, 0, cuts[1], args.csv)] + [pipe.read().decode() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise OSError(f"{len(failed)} of {len(pids)} stat-extract workers failed")
+    sizes = [end - first for first, end in zip(cuts, cuts[1:])]
+    digits, lines = zip(*[(part[:size], part[size:]) for part, size in zip(parts, sizes)])
+    sys.stdout.write(("block,q,bit" if args.csv else "bits: " + "".join(digits)) + "\n" + "".join(lines))
     return EXIT_OK
 
 

@@ -36,8 +36,8 @@ MAX_NAME_BYTES = 255
 FIXED_OVERHEAD = 14  # magic + name_len + data_len + crc
 
 
-def safe_file_name(name: str) -> str:
-    """Validate that a payload name is a plain file name, not a path."""
+def safe_file_name(name: str, action: str = "write") -> str:
+    """Validate that a payload name is a plain file name, not a path; action names what the refusal stops."""
     if (
         not name
         or name in (".", "..")
@@ -46,7 +46,7 @@ def safe_file_name(name: str) -> str:
         or "\\" in name
         or name != os.path.basename(name)
     ):
-        raise UnsafeNameError(f"refusing to write unsafe file name {name!r}")
+        raise UnsafeNameError(f"refusing to {action} unsafe file name {name!r}")
     return name
 
 
@@ -57,7 +57,7 @@ def _encode_name(name: str) -> bytes:
         raise NameTooLongError("name must encode to at least 1 byte")
     if len(encoded) > MAX_NAME_BYTES:
         raise NameTooLongError(f"name encodes to {len(encoded)} bytes, limit is {MAX_NAME_BYTES}")
-    safe_file_name(name)
+    safe_file_name(name, "store")
     return encoded
 
 

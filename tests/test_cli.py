@@ -151,6 +151,7 @@ class TestEmbedExtract:
         code, out, err = run(capsys, command, "--in", cover, "--name", "../evil", *io_flags)
         assert code == 1
         assert "unsafe file name" in err
+        assert err == "pestego: error: refusing to store unsafe file name '../evil'\n"
         assert out == ""
         assert not (tmp_path / "s.exe").exists()
 

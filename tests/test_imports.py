@@ -6,29 +6,14 @@ already imported numpy through other tests.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
+from fresh_interpreter import run_python
 from pe_builder import build_pe
 
 import pestego
 
 NUMPY_LOADED = "print('numpy' in sys.modules)"
-
-
-def run_python(code: str, cwd: Path) -> list[str]:
-    """Run ``code`` in a new interpreter that sees pestego and the test helpers; return its stdout lines."""
-    paths = [str(Path(pestego.__file__).parents[1]), str(Path(__file__).parent)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + code], capture_output=True, text=True, cwd=cwd, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
 
 
 @pytest.fixture
@@ -77,6 +62,24 @@ def test_no_module_imports_dataclasses(cli_files, code):
     heavy = "{'dataclasses', 'inspect', 'ast'}"
     added = f"before = set(sys.modules)\n{code}\nprint(sorted({heavy} & (set(sys.modules) - before)))"
     assert run_python(added, cli_files)[-1] == "[]"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stat_extract_loads_no_process_pool(tmp_path, cpus):
+    """Its workers are bare forks: multiprocessing and concurrent.futures would cost import time and pickling."""
+    (tmp_path / "carrier.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+    code = f"""
+before = set(sys.modules)
+import os
+from pestego import cli
+os.sched_getaffinity = lambda pid: set(range({cpus}))
+cli.MIN_SHARE = 1  # so that two CPUs split the carrier's two block rows
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+assert cli.main(["stat-extract", "--in", "carrier.pgm", "--key", "k", "--bits", "4", "--csv"]) == 0
+print(len(forks), sorted(m for m in set(sys.modules) - before if m.partition(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    assert run_python(code, tmp_path)[-1] == f"{cpus - 1} []"
 
 
 @pytest.mark.parametrize("code", ["import pestego.cli", PE_COMMANDS], ids=["import-cli", "pe-commands"])

@@ -155,8 +155,8 @@ class TestHideRetract:
     @pytest.mark.parametrize("name", UNSAFE_NAMES)
     def test_unsafe_names_refused(self, spec_pe, name):
         image = parse_pe(spec_pe.data)
-        error = NameTooLongError if name == "" else UnsafeNameError
-        with pytest.raises(error):
+        error, message = (NameTooLongError, "at least 1 byte") if name == "" else (UnsafeNameError, "refusing to store unsafe")
+        with pytest.raises(error, match=message):
             PayloadRecord(name, b"data").encode()
         with pytest.raises(error):
             capacity(image, name)
@@ -238,7 +238,7 @@ class TestWriteExtractedFile:
 
     @pytest.mark.parametrize("name", UNSAFE_NAMES)
     def test_unsafe_names(self, name, tmp_path):
-        with pytest.raises(UnsafeNameError):
+        with pytest.raises(UnsafeNameError, match="refusing to write unsafe file name"):
             write_extracted_file(name, b"", str(tmp_path))
 
     def test_unwritable_target(self, tmp_path):
