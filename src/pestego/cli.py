@@ -1,5 +1,9 @@
 """Command-line surface for the toolkit.
 
+This is the only module that formats command output: each ``cmd_*`` returns
+its exit code and the lines it prints, and ``main`` writes them to stdout in
+one write once the command has returned, so a command that fails prints nothing.
+
 Exit codes are stable: 0 success, 1 check failed or operation refused,
 2 unusable input (parse/usage/IO), 3 InsufficientSlack, 4 SlackOccupied,
 5 NoPayload, 6 CorruptPayload, 7 CarrierTooSmall.
@@ -61,6 +65,10 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return w, h
 
 
+def _span(region) -> str:
+    return f"0x{region.offset:X} .. 0x{region.end:X} ({region.length} bytes)"
+
+
 def _read_file(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -86,48 +94,49 @@ def _read_carrier(args):
     return pgm.read_pgm(args.infile)
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> tuple[int, list[str]]:
     image = _load_image(args.infile, args.strict)
     nt = image.nt_headers
-    slack = header_slack(image)
-    usable = capacity(image, "x").usable
-    print(f"machine:            0x{nt.machine:04X}")
-    print(f"number of sections: {nt.number_of_sections}")
-    print(f"image base:         0x{nt.image_base:08X}")
-    print(f"entry point rva:    0x{nt.address_of_entry_point:08X}")
-    print(f"file alignment:     0x{nt.file_alignment:X}")
-    print(f"size of headers:    0x{nt.size_of_headers:X}")
-    print(f"checksum:           0x{nt.checksum:08X}")
-    print(f"header table end:   0x{image.header_end_offset:X}")
-    print(f"header slack:       0x{slack.offset:X} .. 0x{slack.end:X} ({slack.length} bytes)")
-    print(f"capacity:           {usable} payload bytes (1-byte name)")
-    print("sections:")
-    print("  name      vaddr       vsize       rawptr      rawsize     slack")
+    lines = [
+        f"machine:            0x{nt.machine:04X}",
+        f"number of sections: {nt.number_of_sections}",
+        f"image base:         0x{nt.image_base:08X}",
+        f"entry point rva:    0x{nt.address_of_entry_point:08X}",
+        f"file alignment:     0x{nt.file_alignment:X}",
+        f"size of headers:    0x{nt.size_of_headers:X}",
+        f"checksum:           0x{nt.checksum:08X}",
+        f"header table end:   0x{image.header_end_offset:X}",
+        f"header slack:       {_span(header_slack(image))}",
+        f"capacity:           {capacity(image, 'x').usable} payload bytes (1-byte name)",
+        "sections:",
+        "  name      vaddr       vsize       rawptr      rawsize     slack",
+    ]
     for i, sec in enumerate(image.sections):
         s = section_slack(image, i)
         tail = f"{s.length} bytes @ 0x{s.offset:X}" if s.length else "-"
-        print(
+        lines.append(
             f"  {sec.display_name():<8}  0x{sec.virtual_address:08X}  0x{sec.virtual_size:08X}"
             f"  0x{sec.pointer_to_raw_data:08X}  0x{sec.size_of_raw_data:08X}  {tail}"
         )
     if image.warnings:
-        print("warnings:")
-        for w in image.warnings:
-            print(f"  - {w}")
-    return EXIT_OK
+        lines.append("warnings:")
+        lines += [f"  - {w}" for w in image.warnings]
+    return EXIT_OK, lines
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args) -> tuple[int, list[str]]:
     image = _load_image(args.infile, args.strict)
     name = args.name if args.name is not None else "x"
     report = capacity(image, name)
-    print(f'name:           "{name}" ({len(name.encode("utf-8"))} bytes)')
-    for line in report.lines():
-        print(line)
-    return EXIT_OK
+    return EXIT_OK, [
+        f'name:           "{name}" ({len(name.encode("utf-8"))} bytes)',
+        f"slack region:   {_span(report.region)}",
+        f"framing:        {report.overhead} bytes",
+        f"usable payload: {report.usable} bytes",
+    ]
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> tuple[int, list[str]]:
     image = _load_image(args.infile, args.strict)
     data = _read_file(args.payload)
     name = args.name if args.name is not None else os.path.basename(args.payload)
@@ -135,32 +144,48 @@ def cmd_embed(args) -> int:
     write_atomic(args.outfile, serialize(stego))
     slack = header_slack(image)
     record_len = capacity(image, name).overhead + len(data)
-    print(f'hid "{name}" ({len(data)} data bytes, {record_len} record bytes) at 0x{slack.offset:X}')
-    print(f"slack used: {record_len}/{slack.length} bytes")
-    print(f"wrote {args.outfile}")
-    return EXIT_OK
+    return EXIT_OK, [
+        f'hid "{name}" ({len(data)} data bytes, {record_len} record bytes) at 0x{slack.offset:X}',
+        f"slack used: {record_len}/{slack.length} bytes",
+        f"wrote {args.outfile}",
+    ]
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> tuple[int, list[str]]:
     image = _load_image(args.infile, args.strict)
     name, data = retract(image)
     path = write_extracted_file(name, data, args.outdir)
-    print(f'recovered "{name}" ({len(data)} bytes)')
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, [f'recovered "{name}" ({len(data)} bytes)', f"wrote {path}"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, list[str]]:
     report = compare(_read_file(args.before), _read_file(args.after))
-    for line in report.summary_lines():
-        print(line)
+    regions, notes = report.diff_regions, report.notes
+    lines = [
+        f"headers identical:        {'yes' if report.identical_headers else 'NO'}",
+        f"section table identical:  {'yes' if report.identical_section_table else 'NO'}",
+        f"differing regions:        {len(regions)}",
+        *[f"  {_span(region)}" for region in regions],
+        f"diff confined to slack:   {'yes' if report.diff_confined_to_slack else 'NO'}",
+        *[f"note: {note}" for note in notes],
+    ]
     if args.outfile:
-        write_atomic(args.outfile, report.to_kv().encode("utf-8"))
-        print(f"wrote {args.outfile}")
-    return EXIT_OK if report.diff_confined_to_slack else EXIT_CHECK_FAILED
+        # machine-readable: one key=value per line, in a field order that stays stable
+        kv = [
+            f"identical_headers={str(report.identical_headers).lower()}",
+            f"identical_section_table={str(report.identical_section_table).lower()}",
+            f"diff_confined_to_slack={str(report.diff_confined_to_slack).lower()}",
+            f"diff_region_count={len(regions)}",
+            *[f"diff_region_{i}=0x{region.offset:X}:{region.length}" for i, region in enumerate(regions)],
+            f"note_count={len(notes)}",
+            *[f"note_{i}={note}" for i, note in enumerate(notes)],
+        ]
+        write_atomic(args.outfile, ("\n".join(kv) + "\n").encode("utf-8"))
+        lines.append(f"wrote {args.outfile}")
+    return EXIT_OK if report.diff_confined_to_slack else EXIT_CHECK_FAILED, lines
 
 
-def cmd_stat_embed(args) -> int:
+def cmd_stat_embed(args) -> tuple[int, list[str]]:
     from . import pgm, statstego
 
     params = _stat_params(args)
@@ -170,12 +195,10 @@ def cmd_stat_embed(args) -> int:
     key = _parse_key(args.key)
     stego = statstego.embed_message(carrier, key, layout, params)
     (pgm.write_raw if args.raw else pgm.write_pgm)(args.outfile, stego)
-    print(
-        f"embedded {layout.block_count} bits into {params.block_cols}x{params.block_rows} blocks"
-        f" (k={params.k})"
-    )
-    print(f"wrote {args.outfile}")
-    return EXIT_OK
+    return EXIT_OK, [
+        f"embedded {layout.block_count} bits into {params.block_cols}x{params.block_rows} blocks (k={params.k})",
+        f"wrote {args.outfile}",
+    ]
 
 
 # Fewest blocks per share. Split in two, a --csv read of 4,096 blocks saved 0.7-2 ms of 17-34 ms
@@ -184,17 +207,17 @@ MIN_SHARE = 4096
 
 
 def _share_text(carrier, key: bytes, params, first: int, end: int, csv: bool) -> str:
-    """The bit digits of the carrier's first end - first blocks, then their listing lines numbered from first."""
+    """This share's piece of stdout for the carrier's first end - first blocks: their bit digits, or with csv
+    one row per block, numbered from first and each after a newline."""
     from .statstego import detect_blocks
 
     q, bits = detect_blocks(carrier, key, end - first, params)
-    digits = bits.tobytes().translate(bytes.maketrans(b"\0\1", b"01")).decode()
     if csv:
-        return digits + "".join([f"{i},{qi!r},{bit}\n" for i, qi, bit in zip(range(first, end), q, bits)])
-    return digits + "".join([f"block {i}: q={qi:+.6f} bit={bit}\n" for i, qi, bit in zip(range(first, end), q, bits)])
+        return "".join([f"\n{i},{qi!r},{bit}" for i, qi, bit in zip(range(first, end), q, bits)])
+    return bits.tobytes().translate(bytes.maketrans(b"\0\1", b"01")).decode()
 
 
-def cmd_stat_extract(args) -> int:
+def cmd_stat_extract(args) -> tuple[int, list[str]]:
     from . import statstego
 
     params = _stat_params(args)
@@ -232,10 +255,7 @@ def cmd_stat_extract(args) -> int:
         failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
     if failed:
         raise OSError(f"{len(failed)} of {len(pids)} stat-extract workers failed")
-    sizes = [end - first for first, end in zip(cuts, cuts[1:])]
-    digits, lines = zip(*[(part[:size], part[size:]) for part, size in zip(parts, sizes)])
-    sys.stdout.write(("block,q,bit" if args.csv else "bits: " + "".join(digits)) + "\n" + "".join(lines))
-    return EXIT_OK
+    return EXIT_OK, [("block,q,bit" if args.csv else "bits: ") + "".join(parts)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +341,9 @@ _EXIT_BY_ERROR = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
+        sys.stdout.write("\n".join(lines) + "\n")
+        return code
     except tuple(err for err, _ in _EXIT_BY_ERROR) as exc:
         print(f"pestego: error: {exc}", file=sys.stderr)
         return next(code for err_type, code in _EXIT_BY_ERROR if isinstance(exc, err_type))

@@ -11,15 +11,21 @@ def write_atomic(path: str, data: bytes) -> None:
     A failure at any step removes the temp file and leaves ``path`` as it
     was, so readers never see a half-written output.  An existing ``path``
     is replaced.  The data is not fsynced: this guards against a failed or
-    killed process, not against power loss.
+    killed process, not against power loss.  An error from the OS names
+    ``path``, never the temp file, whose name is random.
     """
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc

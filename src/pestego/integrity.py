@@ -22,34 +22,6 @@ class EquivalenceReport(NamedTuple):
     diff_confined_to_slack: bool
     notes: tuple[str, ...] = ()
 
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"headers identical:        {'yes' if self.identical_headers else 'NO'}",
-            f"section table identical:  {'yes' if self.identical_section_table else 'NO'}",
-            f"differing regions:        {len(self.diff_regions)}",
-        ]
-        for region in self.diff_regions:
-            lines.append(f"  0x{region.offset:X} .. 0x{region.end:X} ({region.length} bytes)")
-        lines.append(f"diff confined to slack:   {'yes' if self.diff_confined_to_slack else 'NO'}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return lines
-
-    def to_kv(self) -> str:
-        """Machine-readable key/value document with a stable field order."""
-        lines = [
-            f"identical_headers={str(self.identical_headers).lower()}",
-            f"identical_section_table={str(self.identical_section_table).lower()}",
-            f"diff_confined_to_slack={str(self.diff_confined_to_slack).lower()}",
-            f"diff_region_count={len(self.diff_regions)}",
-        ]
-        for i, region in enumerate(self.diff_regions):
-            lines.append(f"diff_region_{i}=0x{region.offset:X}:{region.length}")
-        lines.append(f"note_count={len(self.notes)}")
-        for i, note in enumerate(self.notes):
-            lines.append(f"note_{i}={note}")
-        return "\n".join(lines) + "\n"
-
 
 _CHUNK = 1 << 16
 _NONZERO_RUN = re.compile(rb"[^\x00]+")

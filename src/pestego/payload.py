@@ -120,13 +120,6 @@ class CapacityReport(NamedTuple):
     overhead: int
     usable: int
 
-    def lines(self) -> list[str]:
-        return [
-            f"slack region:   0x{self.region.offset:X} .. 0x{self.region.end:X} ({self.region.length} bytes)",
-            f"framing:        {self.overhead} bytes",
-            f"usable payload: {self.usable} bytes",
-        ]
-
 
 def capacity(image: PeImage, name: str) -> CapacityReport:
     """Report the maximum data length that fits for the given file name."""

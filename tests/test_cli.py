@@ -378,10 +378,130 @@ def test_failed_write_leaves_outputs_untouched(monkeypatch, capsys, tmp_path, co
         raise OSError("simulated failure after the data was written")
 
     monkeypatch.setattr(os, "replace", fail)
-    code, _, err = run(capsys, *argv)
+    code, stdout, err = run(capsys, *argv)
     assert code == 2
     assert "simulated failure" in err
+    assert stdout == ""
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {"secret.bin": b"old"}
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [("nodir/s.exe", "[Errno 2] No such file or directory"), ("isdir.exe", "[Errno 21] Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_write_error_names_the_output(monkeypatch, capsys, tmp_path, cover, payload_file, target, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "isdir.exe").mkdir()
+    argv = ("embed", "--in", cover, "--payload", payload_file, "--out", target)
+    expected = (2, "", f"pestego: error: {message}: '{target}'\n")
+    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv) == expected
+
+
+def text(*lines: str) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+INSPECT_HEAD = (
+    "machine:            0x014C",
+    "number of sections: 1",
+    "image base:         0x00400000",
+    "entry point rva:    0x00001000",
+    "file alignment:     0x200",
+    "size of headers:    0x200",
+    "checksum:           0x00000000",
+)
+VERIFY_CONFINED = (
+    "headers identical:        yes",
+    "section table identical:  yes",
+    "differing regions:        3",
+    "  0x178 .. 0x17D (5 bytes)",
+    "  0x17E .. 0x189 (11 bytes)",
+    "  0x18D .. 0x1C2 (53 bytes)",
+    "diff confined to slack:   yes",
+)
+# (argv, exit code, the whole of stdout), run in order in one directory: later commands read what earlier ones wrote
+KNOWN_OUTPUT = [
+    (("inspect", "--in", "cover.exe"), 0, text(
+        *INSPECT_HEAD,
+        "header table end:   0x178",
+        "header slack:       0x178 .. 0x200 (136 bytes)",
+        "capacity:           121 payload bytes (1-byte name)",
+        "sections:",
+        "  name      vaddr       vsize       rawptr      rawsize     slack",
+        "  .text     0x00001000  0x00000200  0x00000200  0x00000200  -",
+    )),
+    (("inspect", "--in", "odd.exe"), 0, text(
+        *INSPECT_HEAD,
+        "header table end:   0x160",
+        "header slack:       0x160 .. 0x200 (160 bytes)",
+        "capacity:           145 payload bytes (1-byte name)",
+        "sections:",
+        "  name      vaddr       vsize       rawptr      rawsize     slack",
+        "  .text     0x00001000  0x000001F4  0x00000200  0x000001F4  -",
+        "warnings:",
+        "  - section .text: SizeOfRawData 0x1F4 not aligned to FileAlignment",
+    )),
+    (("capacity", "--in", "cover.exe", "--name", "k.txt"), 0, text(
+        'name:           "k.txt" (5 bytes)',
+        "slack region:   0x178 .. 0x200 (136 bytes)",
+        "framing:        19 bytes",
+        "usable payload: 117 bytes",
+    )),
+    (("embed", "--in", "cover.exe", "--payload", "secret.bin", "--out", "stego.exe"), 0, text(
+        'hid "secret.bin" (50 data bytes, 74 record bytes) at 0x178',
+        "slack used: 74/136 bytes",
+        "wrote stego.exe",
+    )),
+    (("extract", "--in", "stego.exe", "--out", "out"), 0, text(
+        'recovered "secret.bin" (50 bytes)',
+        "wrote out/secret.bin",
+    )),
+    (("verify", "cover.exe", "stego.exe"), 0, text(*VERIFY_CONFINED)),
+    (("verify", "cover.exe", "stego.exe", "--out", "report.txt"), 0, text(*VERIFY_CONFINED, "wrote report.txt")),
+    (("verify", "cover.exe", "longer.exe"), 1, text(
+        "headers identical:        yes",
+        "section table identical:  yes",
+        "differing regions:        1",
+        "  0x400 .. 0x403 (3 bytes)",
+        "diff confined to slack:   NO",
+        "note: file length changed: 1024 -> 1027 bytes",
+    )),
+    (("stat-embed", "--in", "carrier.pgm", "--key", "swordfish", "--payload", "bits.txt", "--out", "stego.pgm"), 0, text(
+        "embedded 16 bits into 8x8 blocks (k=10)",
+        "wrote stego.pgm",
+    )),
+    (("stat-extract", "--in", "stego.pgm", "--key", "swordfish", "--bits", "16", "--alpha", "0.001"), 0, text(
+        "bits: 0110100110010110",
+    )),
+    (("stat-extract", "--in", "stego.pgm", "--key", "swordfish", "--bits", "4", "--csv"), 0, text(
+        "block,q,bit",
+        "0,0.3174104212536186,0",
+        "1,8.233098694705962,1",
+        "2,9.576075342311444,1",
+        "3,-0.41794573882950453,0",
+    )),
+]
+
+
+def test_known_output_of_every_command(monkeypatch, capsys, tmp_path, cover, payload_file, carrier_pgm):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "longer.exe").write_bytes(cover.read_bytes() + bytes(3))
+    (tmp_path / "odd.exe").write_bytes(build_pe(sections=[SectionPlan(raw_size=500)]).data)
+    (tmp_path / "bits.txt").write_text("0110100110010110")
+    got = [(argv, *run(capsys, *argv)) for argv, _, _ in KNOWN_OUTPUT]
+    assert got == [(argv, code, out, "") for argv, code, out in KNOWN_OUTPUT]
+    assert (tmp_path / "report.txt").read_text() == text(
+        "identical_headers=true",
+        "identical_section_table=true",
+        "diff_confined_to_slack=true",
+        "diff_region_count=3",
+        "diff_region_0=0x178:5",
+        "diff_region_1=0x17E:11",
+        "diff_region_2=0x18D:53",
+        "note_count=0",
+    )
 
 
 class TestDeterminism:

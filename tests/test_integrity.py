@@ -18,6 +18,7 @@ from pestego import (
     parse_pe,
     serialize,
 )
+from pestego.cli import main
 from pestego.integrity import _diff_regions
 
 
@@ -149,10 +150,22 @@ class TestDiffRegions:
 
 
 class TestReportFormats:
-    def test_kv_stable(self, spec_pe):
+    """The text `verify` prints and the key=value document its --out writes."""
+
+    @staticmethod
+    def verify(tmp_path, capsys, built, *flags):
+        before, after = tmp_path / "before.exe", tmp_path / "after.exe"
+        before.write_bytes(built.data)
+        after.write_bytes(stego_bytes(built))
+        assert main(["verify", str(before), str(after), *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_kv_stable(self, tmp_path, capsys, spec_pe):
         report = compare(spec_pe.data, stego_bytes(spec_pe))
-        kv = report.to_kv()
-        assert kv == report.to_kv()
+        self.verify(tmp_path, capsys, spec_pe, "--out", str(tmp_path / "a.txt"))
+        self.verify(tmp_path, capsys, spec_pe, "--out", str(tmp_path / "b.txt"))
+        kv = (tmp_path / "a.txt").read_text()
+        assert kv == (tmp_path / "b.txt").read_text()
         lines = kv.strip().splitlines()
         assert lines[0] == "identical_headers=true"
         assert lines[1] == "identical_section_table=true"
@@ -160,7 +173,6 @@ class TestReportFormats:
         assert lines[3] == f"diff_region_count={len(report.diff_regions)}"
         assert lines[4].startswith("diff_region_0=0x")
 
-    def test_summary_lines(self, spec_pe):
-        report = compare(spec_pe.data, stego_bytes(spec_pe))
-        text = "\n".join(report.summary_lines())
+    def test_summary_lines(self, tmp_path, capsys, spec_pe):
+        text = self.verify(tmp_path, capsys, spec_pe)
         assert "diff confined to slack:   yes" in text

@@ -54,17 +54,22 @@ print(len(forks))
 
 
 def test_pinned_output_of_a_split_read(tmp_path):
-    """Two CPUs split 16,384 blocks at the shipped share size; the hashes are those of the serial code before shares."""
+    """Two CPUs split 16,384 blocks at the shipped share size: the bits are those of one serial detect_blocks call,
+    and the --csv hash is that of the serial code before shares."""
     code = PRELUDE + """
+from pestego import pgm, statstego
 write_carrier("large.pgm", 512, 256)
-for flags in ((), ("--csv",)):
-    code, out, err = extract(2, "--in", "large.pgm", "--bits", "16384", "--alpha", "0.05", *flags)
-    assert code == 0 and not err, err
-    print(hashlib.sha256(out.encode()).hexdigest())
+params = statstego.StatParams(block_rows=2, block_cols=4, alpha=0.05)
+digits = "".join(map(str, statstego.detect_blocks(pgm.read_pgm("large.pgm"), b"k", 16384, params)[1]))
+code, out, err = extract(2, "--in", "large.pgm", "--bits", "16384", "--alpha", "0.05")
+assert code == 0 and not err, err
+assert out == "bits: " + digits + "\\n"
+code, out, err = extract(2, "--in", "large.pgm", "--bits", "16384", "--alpha", "0.05", "--csv")
+assert code == 0 and not err, err
+print(hashlib.sha256(out.encode()).hexdigest())
 print(len(forks))
 """
     assert run_python(code, tmp_path) == [
-        "a987207087da53d59260833499b4c4253d06c0216c669f1c8d3440da24f38839",
         "201ffa94690bfce553417615b46c386f2d406141b864561d3a30430ae1caa7ca",
         "2",
     ]
