@@ -1,41 +1,45 @@
 """pestego: hide files in 32-bit PE header slack; statistical bit embedding for raster carriers."""
 
-from .errors import (
-    BlockTooSmallError,
-    CarrierTooSmallError,
-    CorruptPayloadError,
-    InsufficientSlackError,
-    NameTooLongError,
-    NoPayloadError,
-    Not32BitError,
-    NotMzError,
-    NotPeError,
-    OddBlockLengthError,
-    PeFormatError,
-    PeStegoError,
-    SlackOccupiedError,
-    StrictParseError,
-    TruncatedError,
-    UnsafeNameError,
-)
-from .integrity import EquivalenceReport, compare
-from .payload import CapacityReport, PayloadRecord, capacity, hide, retract, write_extracted_file
-from .pe_format import (
-    NtHeaders,
-    PeImage,
-    Region,
-    SectionHeader,
-    header_slack,
-    parse_pe,
-    rva_to_va,
-    section_slack,
-    serialize,
-)
+from importlib import import_module
 
-# ``statstego`` is imported on first use of one of its names (PEP 562):
-# compiling it on every import would cost the PE side about 9 ms.
-_STATSTEGO_NAMES = frozenset(
-    {
+__version__ = "0.1.0"
+
+# Every public name, under the module that defines it. A name's module is
+# imported on its first use (PEP 562): ``import pestego`` compiles only this
+# file, and the PE names never load statstego, which would cost about 9 ms.
+_EXPORTS = {
+    "errors": (
+        "BlockTooSmallError",
+        "CarrierTooSmallError",
+        "CorruptPayloadError",
+        "InsufficientSlackError",
+        "NameTooLongError",
+        "NoPayloadError",
+        "Not32BitError",
+        "NotMzError",
+        "NotPeError",
+        "OddBlockLengthError",
+        "PeFormatError",
+        "PeStegoError",
+        "SlackOccupiedError",
+        "StrictParseError",
+        "TruncatedError",
+        "UnsafeNameError",
+    ),
+    "integrity": ("EquivalenceReport", "compare"),
+    "payload": ("CapacityReport", "PayloadRecord", "capacity", "hide", "retract", "write_extracted_file"),
+    "pe_format": (
+        "NtHeaders",
+        "PeImage",
+        "Region",
+        "SectionHeader",
+        "header_slack",
+        "parse_pe",
+        "rva_to_va",
+        "section_slack",
+        "serialize",
+    ),
+    "statstego": (
         "Carrier",
         "KeyPattern",
         "MessageLayout",
@@ -45,53 +49,19 @@ _STATSTEGO_NAMES = frozenset(
         "detect_blocks",
         "embed_message",
         "normal_quantile",
-    }
-)
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _STATSTEGO_NAMES:
-        from . import statstego
-
-        return getattr(statstego, name)
+    # looked up on every use, never stored here, so it is always the module's current attribute
+    if name in _MODULE_OF:
+        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "BlockTooSmallError",
-    "CapacityReport",
-    "CarrierTooSmallError",
-    "CorruptPayloadError",
-    "EquivalenceReport",
-    "InsufficientSlackError",
-    "NameTooLongError",
-    "NoPayloadError",
-    "Not32BitError",
-    "NotMzError",
-    "NotPeError",
-    "NtHeaders",
-    "OddBlockLengthError",
-    "PayloadRecord",
-    "PeFormatError",
-    "PeImage",
-    "PeStegoError",
-    "Region",
-    "SectionHeader",
-    "SlackOccupiedError",
-    "StrictParseError",
-    "TruncatedError",
-    "UnsafeNameError",
-    "capacity",
-    "compare",
-    "header_slack",
-    "hide",
-    "parse_pe",
-    "retract",
-    "rva_to_va",
-    "section_slack",
-    "serialize",
-    "write_extracted_file",
-    *sorted(_STATSTEGO_NAMES),
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

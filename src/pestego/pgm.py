@@ -32,6 +32,8 @@ def decode_pgm(data: bytes) -> Carrier:
     for _ in range(3):
         token, pos = _next_token(data, pos)
         try:
+            if not token.isdigit():  # ASCII decimal only: int() would also take a sign and '_' separators
+                raise ValueError
             fields.append(int(token))
         except ValueError:
             raise ValueError(f"bad PGM header token {token!r}") from None

@@ -121,11 +121,14 @@ assert main(["stat-extract", "--in", "stego.pgm", "--bits", "8", "--csv", *args]
 def test_export_list(tmp_path):
     """Every exported name resolves and is listed once; the lazy ones are exactly statstego's public objects."""
     code = NUMPY_LOADED + """
-import inspect
+import importlib, inspect
 import pestego, pestego.statstego
 assert len(pestego.__all__) == len(set(pestego.__all__)), pestego.__all__
 exported = {name: getattr(pestego, name) for name in pestego.__all__}
-lazy = pestego._STATSTEGO_NAMES
+for module, names in pestego._EXPORTS.items():
+    defining = importlib.import_module("pestego." + module)
+    assert all(exported[name] is getattr(defining, name) for name in names), module
+lazy = set(pestego._EXPORTS["statstego"])
 assert lazy <= set(exported)
 assert all(exported[name] is getattr(pestego.statstego, name) for name in lazy)
 defined = {
@@ -139,6 +142,37 @@ assert lazy == defined, (sorted(lazy - defined), sorted(defined - lazy))
 print("ok")
 """
     assert run_python("import pestego.cli\n" + code, tmp_path) == ["False", "ok"]
+
+
+def test_dir_lists_every_export():
+    assert set(pestego.__all__) <= set(dir(pestego))
+
+
+@pytest.mark.parametrize(
+    ("code", "loaded"),
+    [
+        ("import pestego", []),
+        ("from pestego import parse_pe", ["pestego.errors", "pestego.pe_format"]),
+        ("from pestego import detect_blocks", ["pestego.errors", "pestego.statstego"]),
+    ],
+    ids=["bare-import", "pe-name", "stat-name"],
+)
+def test_first_use_loads_only_its_module(tmp_path, code, loaded):
+    """A name loads the module that defines it and that module's imports, nothing else of pestego."""
+    code = f"""
+before = set(sys.modules)
+{code}
+print(sorted(m for m in set(sys.modules) - before if m.partition(".")[0] == "pestego"))
+"""
+    assert run_python(code, tmp_path)[-1] == str(["pestego", *loaded])
+
+
+def test_exports_follow_their_module(monkeypatch):
+    """pestego stores no copy of a name, so a patched module attribute is what pestego returns."""
+    import pestego.pe_format
+
+    monkeypatch.setattr(pestego.pe_format, "parse_pe", lambda data: None)
+    assert pestego.parse_pe is pestego.pe_format.parse_pe
 
 
 def test_unknown_attribute():

@@ -47,6 +47,16 @@ def test_rejects_trailing_bytes():
         decode_pgm(b"P5\n2 2\n255\n" + bytes(5))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"P5\n2 3_0\n255\n" + bytes(60), b"P5\n-2 3\n255\n" + bytes(6), b"P5\n+3 2\n255\n" + bytes(6)],
+    ids=["underscore", "minus", "plus"],
+)
+def test_header_numbers_are_ascii_decimal(data):
+    with pytest.raises(ValueError, match="bad PGM header token"):
+        decode_pgm(data)
+
+
 def test_file_roundtrip(tmp_path):
     carrier = Carrier(5, 4, bytes(range(20)))
     path = str(tmp_path / "c.pgm")
