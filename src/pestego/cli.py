@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import (
@@ -35,11 +36,6 @@ from .pe_format import header_slack, parse_pe, section_slack, serialize
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
-EXIT_INSUFFICIENT_SLACK = 3
-EXIT_SLACK_OCCUPIED = 4
-EXIT_NO_PAYLOAD = 5
-EXIT_CORRUPT_PAYLOAD = 6
-EXIT_CARRIER_TOO_SMALL = 7
 
 
 def _parse_key(text: str) -> bytes:
@@ -52,13 +48,11 @@ def _parse_key(text: str) -> bytes:
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    """'WxH' -> (width, height)."""
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"expected WxH, got {text!r}")
+    """'WxH' -> (width, height), each ASCII decimal like a PGM header number."""
+    match = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", text)
     try:
-        w, h = int(parts[0]), int(parts[1])
-    except ValueError:
+        w, h = int(match[1]), int(match[2])
+    except (TypeError, ValueError):  # no match, or more digits than sys.get_int_max_str_digits()
         raise ValueError(f"expected WxH, got {text!r}") from None
     if w < 1 or h < 1:
         raise ValueError(f"dimensions must be positive, got {text!r}")
@@ -325,17 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_BY_ERROR = (
-    (InsufficientSlackError, EXIT_INSUFFICIENT_SLACK),
-    (SlackOccupiedError, EXIT_SLACK_OCCUPIED),
-    (NoPayloadError, EXIT_NO_PAYLOAD),
-    (CorruptPayloadError, EXIT_CORRUPT_PAYLOAD),
-    (CarrierTooSmallError, EXIT_CARRIER_TOO_SMALL),
-    (UnsafeNameError, EXIT_CHECK_FAILED),
-    (PeStegoError, EXIT_BAD_INPUT),  # parse failures, bad names, bad block sizes
-    (ValueError, EXIT_BAD_INPUT),
-    (OSError, EXIT_BAD_INPUT),
-)
+# looked up along the error's class hierarchy, so the most specific class listed decides the code
+_EXIT_BY_ERROR = {
+    InsufficientSlackError: 3,
+    SlackOccupiedError: 4,
+    NoPayloadError: 5,
+    CorruptPayloadError: 6,
+    CarrierTooSmallError: 7,
+    UnsafeNameError: EXIT_CHECK_FAILED,
+    PeStegoError: EXIT_BAD_INPUT,  # parse failures, bad names, bad block sizes
+    ValueError: EXIT_BAD_INPUT,
+    OSError: EXIT_BAD_INPUT,
+}
 
 
 def main(argv=None) -> int:
@@ -344,9 +339,9 @@ def main(argv=None) -> int:
         code, lines = args.func(args)
         sys.stdout.write("\n".join(lines) + "\n")
         return code
-    except tuple(err for err, _ in _EXIT_BY_ERROR) as exc:
+    except tuple(_EXIT_BY_ERROR) as exc:
         print(f"pestego: error: {exc}", file=sys.stderr)
-        return next(code for err_type, code in _EXIT_BY_ERROR if isinstance(exc, err_type))
+        return next(_EXIT_BY_ERROR[cls] for cls in type(exc).__mro__ if cls in _EXIT_BY_ERROR)
 
 
 if __name__ == "__main__":

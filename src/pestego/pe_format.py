@@ -141,8 +141,8 @@ def _layout_warnings(nt: NtHeaders, sections: tuple[SectionHeader, ...], file_si
         warnings.append(f"FileAlignment 0x{nt.file_alignment:X} is not a power of two >= 512")
     if nt.number_of_sections < 1:
         warnings.append("section table is empty")
-    for i, sec in enumerate(sections):
-        label = sec.display_name() or f"#{i}"
+    labels = [sec.display_name() or f"#{i}" for i, sec in enumerate(sections)]
+    for sec, label in zip(sections, labels):
         if nt.file_alignment > 0:
             if sec.pointer_to_raw_data % nt.file_alignment:
                 warnings.append(f"section {label}: PointerToRawData 0x{sec.pointer_to_raw_data:X} not aligned to FileAlignment")
@@ -150,13 +150,17 @@ def _layout_warnings(nt: NtHeaders, sections: tuple[SectionHeader, ...], file_si
                 warnings.append(f"section {label}: SizeOfRawData 0x{sec.size_of_raw_data:X} not aligned to FileAlignment")
         if sec.size_of_raw_data and sec.pointer_to_raw_data + sec.size_of_raw_data > file_size:
             warnings.append(f"section {label}: raw data extends past end of file")
-    occupied = [(s.raw_region(), i) for i, s in enumerate(sections) if s.size_of_raw_data]
+    occupied = [(s.raw_region(), label) for s, label in zip(sections, labels) if s.size_of_raw_data]
     occupied.sort(key=lambda item: item[0].offset)
-    for (a, ia), (b, ib) in zip(occupied, occupied[1:]):
-        if a.overlaps(b):
-            na = sections[ia].display_name() or f"#{ia}"
-            nb = sections[ib].display_name() or f"#{ib}"
-            warnings.append(f"sections {na} and {nb} overlap in file space")
+    # Each section meets its neighbour in file order and the earlier section that reaches furthest (the
+    # later one on a tie), which every section that overlaps some earlier one also overlaps.
+    furthest = None
+    for before, (region, label) in zip([None, *occupied], occupied):
+        for other in dict.fromkeys((before, furthest)):
+            if other is not None and other[0].overlaps(region):
+                warnings.append(f"sections {other[1]} and {label} overlap in file space")
+        if furthest is None or region.end >= furthest[0].end:
+            furthest = (region, label)
     return tuple(warnings)
 
 

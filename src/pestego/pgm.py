@@ -2,26 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 from .fileio import write_atomic
 from .statstego import Carrier
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comments between header tokens
-    while pos < len(data):
-        if data[pos : pos + 1].isspace():
-            pos += 1
-        elif data[pos : pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise ValueError("unexpected end of PGM header")
-    return data[start:pos], pos
+# whitespace and '#' comments, then one header token: empty only at the end of the data
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n?)*(\S*)")
 
 
 def decode_pgm(data: bytes) -> Carrier:
@@ -30,13 +18,17 @@ def decode_pgm(data: bytes) -> Carrier:
     pos = 2
     fields = []
     for _ in range(3):
-        token, pos = _next_token(data, pos)
+        match = _HEADER_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
+            raise ValueError("unexpected end of PGM header")
         try:
-            if not token.isdigit():  # ASCII decimal only: int() would also take a sign and '_' separators
-                raise ValueError
-            fields.append(int(token))
+            number = int(token)  # refuses more digits than sys.get_int_max_str_digits()
         except ValueError:
-            raise ValueError(f"bad PGM header token {token!r}") from None
+            number = None
+        if number is None or not token.isdigit():  # ASCII decimal only: int() also takes a sign and '_' separators
+            raise ValueError(f"bad PGM header token {token!r}")
+        fields.append(number)
     width, height, maxval = fields
     if maxval != 255:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")

@@ -81,3 +81,47 @@ def diff_runs(a: bytes, b: bytes) -> list[tuple[int, int]]:
     if len(a) != len(b):
         runs.append((n, max(len(a), len(b)) - n))
     return runs
+
+
+def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
+    """(width, height, pixels) of a binary PGM, read by the byte-at-a-time header scanner
+    that pestego's decode_pgm used before it matched one pattern; ValueError texts are the decoder's."""
+
+    def next_token(pos: int) -> tuple[bytes, int]:
+        # skip whitespace and '#' comments between header tokens
+        while pos < len(data):
+            if data[pos : pos + 1].isspace():
+                pos += 1
+            elif data[pos : pos + 1] == b"#":
+                end = data.find(b"\n", pos)
+                pos = len(data) if end < 0 else end + 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError("unexpected end of PGM header")
+        return data[start:pos], pos
+
+    if data[:2] != b"P5":
+        raise ValueError("not a binary PGM (missing P5 magic)")
+    pos = 2
+    fields = []
+    for _ in range(3):
+        token, pos = next_token(pos)
+        try:
+            if not token.isdigit():
+                raise ValueError
+            fields.append(int(token))
+        except ValueError:
+            raise ValueError(f"bad PGM header token {token!r}") from None
+    width, height, maxval = fields
+    if maxval != 255:
+        raise ValueError(f"only maxval 255 is supported, got {maxval}")
+    raster = data[pos + 1 :]
+    if len(raster) < width * height:
+        raise ValueError(f"PGM raster holds {len(raster)} bytes, header promises {width * height}")
+    if len(raster) > width * height:
+        raise ValueError(f"{len(raster) - width * height} trailing bytes after PGM raster")
+    return width, height, bytes(raster)

@@ -1,0 +1,78 @@
+"""Smoke run of every pestego command on the standard library alone.
+
+    python tests/smoke.py
+
+Each command runs as ``python -W error -m pestego.cli`` with ``src/`` on
+PYTHONPATH, so the run needs no installed package: it shows that pestego
+works with ``dependencies = []`` and that no command emits a warning.
+The PE cover comes from ``pe_builder``.  The raster carrier is a
+constant-gray 1024x1024 PGM carrying 16,384 bits in 8x8 blocks: every block
+reads q = 0 (bit 0) or q = +inf (bit 1), so the round trip is exact, and a
+read that long is split across CPUs where more than one is usable.
+pytest does not collect this file; it exits non-zero on the first mismatch.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TESTS))
+
+from pe_builder import build_pe  # noqa: E402
+
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")])))
+SIDE = 1024
+GRAY = 128  # GRAY + k stays below 255, so no pixel saturates
+
+
+def pestego(*argv, expect: int = 0) -> str:
+    """stdout of one command, after checking its exit code and that a success printed nothing to stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pestego.cli", *map(str, argv)], capture_output=True, text=True, env=ENV
+    )
+    if proc.returncode != expect or (expect == 0 and proc.stderr):
+        sys.exit(f"pestego {' '.join(map(str, argv))}: exit {proc.returncode}, expected {expect}\n{proc.stderr}")
+    return proc.stdout
+
+
+def check(ok: bool, what: str) -> None:
+    if not ok:
+        sys.exit(f"smoke check failed: {what}")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        cover, stego, secret, out = work / "cover.exe", work / "stego.exe", work / "secret.bin", work / "out"
+        cover.write_bytes(build_pe(num_sections=2, header_slack=0x88).data)
+        secret.write_bytes(bytes(range(50)))
+
+        pestego("inspect", "--in", cover)
+        pestego("capacity", "--in", cover, "--name", "secret.bin")
+        pestego("embed", "--in", cover, "--payload", secret, "--out", stego)
+        pestego("extract", "--in", stego, "--out", out)
+        check((out / "secret.bin").read_bytes() == secret.read_bytes(), "extract recovers the embedded bytes")
+        pestego("verify", cover, stego)
+        pestego("embed", "--in", stego, "--payload", secret, "--out", work / "again.exe", expect=4)
+        pestego("extract", "--in", cover, "--out", out, expect=5)
+
+        carrier, marked, bits = work / "gray.pgm", work / "marked.pgm", work / "bits.txt"
+        carrier.write_bytes(b"P5\n%d %d\n255\n" % (SIDE, SIDE) + bytes([GRAY]) * (SIDE * SIDE))
+        rng = random.Random(16)
+        message = "".join(rng.choice("01") for _ in range((SIDE // 8) ** 2))
+        bits.write_text(message)
+        pestego("stat-embed", "--in", carrier, "--key", "smoke", "--payload", bits, "--out", marked)
+        read = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message))
+        check(read == f"bits: {message}\n", "stat-extract reads back every embedded bit")
+        pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", 1, "--block", "+8x8", expect=2)
+    print("smoke: every command ran as expected")
+
+
+if __name__ == "__main__":
+    main()

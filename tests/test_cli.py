@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -397,6 +398,67 @@ def test_write_error_names_the_output(monkeypatch, capsys, tmp_path, cover, payl
     expected = (2, "", f"pestego: error: {message}: '{target}'\n")
     assert run(capsys, *argv) == expected
     assert run(capsys, *argv) == expected
+
+
+def stat_extract(*flags: str, infile: str = "carrier.pgm") -> tuple[str, ...]:
+    return ("stat-extract", "--in", infile, "--key", "k", "--bits", "1", *flags)  # a repeated flag's last value wins
+
+
+# (argv, exit code, the whole of stderr), each run in a directory that refusal_files fills
+REFUSALS = [
+    pytest.param(stat_extract("--key", "0xZZ"), 2, "bad hex key '0xZZ'", id="hex-key"),
+    pytest.param(stat_extract("--block", "8"), 2, "expected WxH, got '8'", id="block-one-number"),
+    pytest.param(stat_extract("--block", "0x8"), 2, "dimensions must be positive, got '0x8'", id="block-zero"),
+    pytest.param(stat_extract(infile="short.pgm"), 2, "unexpected end of PGM header", id="pgm-header-end"),
+    pytest.param(
+        ("inspect", "--in", "mz10.exe"), 2, "file of 10 bytes is smaller than the 64-byte DOS header", id="dos-header-cut"
+    ),
+    pytest.param(("inspect", "--in", "coff-cut.exe"), 2, "COFF file header extends past end of file", id="coff-header-cut"),
+    pytest.param(
+        ("inspect", "--in", "opt60.exe"), 2, "optional header of 60 bytes is too small to decode", id="optional-header-60"
+    ),
+    pytest.param(("inspect", "--in", "opt-cut.exe"), 2, "optional header extends past end of file", id="optional-header-cut"),
+    pytest.param(("extract", "--in", "name-len-0.exe", "--out", "out"), 6, "name length 0 outside 1..255", id="name-len-0"),
+    pytest.param(
+        ("extract", "--in", "name-len-200.exe", "--out", "out"), 6,
+        "record name and data length exceed available bytes", id="name-len-200",
+    ),
+    pytest.param(("extract", "--in", "name-not-utf8.exe", "--out", "out"), 6, "record name is not valid UTF-8", id="name-not-utf8"),
+    # WxH takes ASCII decimal digits only, as the PGM header does
+    pytest.param(stat_extract("--block", "8_0x8"), 2, "expected WxH, got '8_0x8'", id="block-underscore"),
+    pytest.param(stat_extract("--block", "+8x8"), 2, "expected WxH, got '+8x8'", id="block-plus"),
+    pytest.param(stat_extract("--block", "٨x8"), 2, "expected WxH, got '٨x8'", id="block-arabic-indic-digit"),
+    pytest.param(stat_extract("--block", " 8x8"), 2, "expected WxH, got ' 8x8'", id="block-space"),
+    pytest.param(stat_extract("--raw", "8_0x16"), 2, "expected WxH, got '8_0x16'", id="raw-underscore"),
+]
+
+
+@pytest.fixture
+def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
+    monkeypatch.chdir(tmp_path)
+    data, coff = spec_pe.data, spec_pe.e_lfanew + 4
+    opt60 = bytearray(data)
+    opt60[coff + 16 : coff + 18] = (60).to_bytes(2, "little")  # SizeOfOptionalHeader
+    records = {
+        "name-len-0": b"SPE1\x00\x00",
+        "name-len-200": b"SPE1\xc8\x00" + bytes(10),
+        "name-not-utf8": b"SPE1\x02\x00\xff\xfe" + bytes(4) + zlib.crc32(b"\xff\xfe").to_bytes(4, "little"),
+    }
+    files = {
+        "short.pgm": b"P5 2",
+        "mz10.exe": b"MZ" + bytes(8),
+        "coff-cut.exe": data[: coff + 10],
+        "opt60.exe": bytes(opt60),
+        "opt-cut.exe": data[: coff + 20 + 100],
+        **{f"{name}.exe": build_pe(header_slack=16, slack_fill=record).data for name, record in records.items()},
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSALS)
+def test_known_refusal(capsys, refusal_files, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"pestego: error: {message}\n")
 
 
 def text(*lines: str) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import struct
 
 import pytest
@@ -108,6 +109,20 @@ class TestRoundTrip:
         assert serialize(parse_pe(built.data)) == built.data
 
 
+SECTION_NAMES = [".text", ".data", ".rdata", ".rsrc", ".reloc", ".idata", ".edata", ".bss"]  # build_pe's, in order
+
+
+def overlap_pairs(spans: list[tuple[int, int]]) -> list[tuple[str, str]]:
+    """The section pairs that parse_pe warns overlap, for sections whose raw data sits at (offset, length) spans."""
+    built = build_pe(num_sections=len(spans))
+    data = bytearray(built.data)
+    table = built.header_end_offset - 40 * len(spans)
+    for i, (offset, length) in enumerate(spans):
+        struct.pack_into("<II", data, table + 40 * i + 16, length, offset)  # SizeOfRawData, PointerToRawData
+    found = [re.fullmatch(r"sections (\S+) and (\S+) overlap in file space", w) for w in parse_pe(bytes(data)).warnings]
+    return [match.groups() for match in found if match]
+
+
 class TestWarnings:
     def test_clean_fixture_has_none(self, spec_pe):
         assert parse_pe(spec_pe.data).warnings == ()
@@ -121,6 +136,37 @@ class TestWarnings:
         built = build_pe(num_sections=2, overlap_sections=True)
         image = parse_pe(built.data)
         assert any("overlap" in w for w in image.warnings)
+
+    def test_overlap_with_a_non_adjacent_section_is_named(self):
+        spans = [(0x200, 0x600), (0x400, 0x200), (0x600, 0x200)]
+        assert overlap_pairs(spans) == [(".text", ".data"), (".text", ".rdata")]
+
+    def test_neighbour_overlaps_stay_named(self):
+        spans = [(0x200, 0x600), (0x400, 0x200), (0x500, 0x200)]
+        assert overlap_pairs(spans) == [(".text", ".data"), (".data", ".rdata"), (".text", ".rdata")]
+
+    def test_sections_at_one_offset_name_each_neighbour(self):
+        image = parse_pe(build_pe(num_sections=3, overlap_sections=True).data)
+        assert [w for w in image.warnings if "overlap" in w] == [
+            "sections .text and .data overlap in file space",
+            "sections .data and .rdata overlap in file space",
+        ]
+
+    @given(st.lists(st.tuples(st.integers(0, 16), st.integers(0, 8)), min_size=1, max_size=8))
+    def test_overlap_warnings_against_every_pair(self, units):
+        spans = [(0x100 * offset, 0x100 * length) for offset, length in units]
+        got = overlap_pairs(spans)
+        order = sorted((i for i, (_, length) in enumerate(spans) if length), key=lambda i: spans[i][0])
+
+        def named(pairs):
+            return {(SECTION_NAMES[i], SECTION_NAMES[j]) for i, j in pairs if Region(*spans[i]).overlaps(Region(*spans[j]))}
+
+        every_pair = named((i, j) for k, j in enumerate(order) for i in order[:k])
+        assert set(got) <= every_pair
+        assert named(zip(order, order[1:])) <= set(got)  # each overlapping neighbour pair, as before
+        assert {later for _, later in got} == {later for _, later in every_pair}  # each section that overlaps an earlier one
+        assert {name for pair in got for name in pair} == {name for pair in every_pair for name in pair}
+        assert len(got) == len(set(got)) <= 2 * len(order)
 
     def test_strict_promotes_to_error(self):
         built = build_pe(sections=[SectionPlan(raw_size=500)])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from oracles import decode_pgm_header_scan
 
 from pestego import Carrier
 from pestego.pgm import decode_pgm, encode_pgm, read_pgm, read_raw, write_pgm, write_raw
@@ -55,6 +57,34 @@ def test_rejects_trailing_bytes():
 def test_header_numbers_are_ascii_decimal(data):
     with pytest.raises(ValueError, match="bad PGM header token"):
         decode_pgm(data)
+
+
+def outcome(decode, data: bytes):
+    """The Carrier a decoder builds from data, or the text of the ValueError it raises."""
+    try:
+        return Carrier(*decode(data))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+HEADER_PIECES = st.one_of(
+    st.sampled_from([bytes([b]) for b in b" \t\n\r\x0b\x0c#+-_\xd9"] + [b"0", b"1", b"2", b"3", b"255"]),
+    st.binary(min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(HEADER_PIECES, max_size=16), st.binary(max_size=10))
+@example([b" 2 3 255\n"], bytes(6))
+@example([b"\t2#c\n3\x0b255 "], b"\n" * 6)
+@example([b" 0 3 255\n"], b"")
+@example([b" 2 # unterminated"], b"")
+@example([b" 2 3 255"], b"")
+@example([b" 2 +3 255\n"], bytes(6))
+@example([b" ", b"1" * 4301, b" 1 255\n"], b"")  # more digits than int() converts by default
+def test_header_matches_the_byte_scanner(pieces, raster):
+    data = b"P5" + b"".join(pieces) + raster
+    assert outcome(decode_pgm, data) == outcome(decode_pgm_header_scan, data)
 
 
 def test_file_roundtrip(tmp_path):
