@@ -39,12 +39,20 @@ EXIT_BAD_INPUT = 2
 
 
 def _parse_key(text: str) -> bytes:
-    if text.startswith(("0x", "0X")):
-        try:
-            return bytes.fromhex(text[2:])
-        except ValueError:
-            raise ValueError(f"bad hex key {text!r}") from None
-    return text.encode("utf-8")
+    """'0x' and whole bytes of hex digits, or else the text's UTF-8 bytes."""
+    if not text.startswith(("0x", "0X")):
+        return text.encode("utf-8")
+    if not re.fullmatch(r"0[xX](?:[0-9a-fA-F]{2})+", text):
+        raise ValueError(f"bad hex key {text!r}")
+    return bytes.fromhex(text[2:])
+
+
+def _parse_int(flag: str, text: str) -> int:
+    """ASCII decimal, as in WxH; a leading '-' is let through so the domain check names the refusal."""
+    try:
+        return int(re.fullmatch(r"-?[0-9]+", text)[0])
+    except (TypeError, ValueError):  # no match, or more digits than sys.get_int_max_str_digits()
+        raise ValueError(f"{flag} expects a decimal integer, got {text!r}") from None
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -76,7 +84,7 @@ def _stat_params(args):
     from . import statstego
 
     block_w, block_h = _parse_dims(args.block)
-    return statstego.StatParams(block_rows=block_h, block_cols=block_w, k=args.k, alpha=args.alpha)
+    return statstego.StatParams(block_rows=block_h, block_cols=block_w, k=_parse_int("--k", args.k), alpha=args.alpha)
 
 
 def _read_carrier(args):
@@ -214,16 +222,17 @@ def _share_text(carrier, key: bytes, params, first: int, end: int, csv: bool) ->
 def cmd_stat_extract(args) -> tuple[int, list[str]]:
     from . import statstego
 
+    bits = _parse_int("--bits", args.bits)
     params = _stat_params(args)
     carrier = _read_carrier(args)
     key = _parse_key(args.key)
     params.z_alpha  # noqa: B018 -- imports statistics once, here, rather than in every worker
     # one share of whole block rows per usable CPU; a --bits that detect_blocks refuses gets one share
     per_row = carrier.width // params.block_cols
-    rows = -(-args.bits // per_row) if 0 < args.bits <= statstego.block_capacity(carrier, params) else 0
+    rows = -(-bits // per_row) if 0 < bits <= statstego.block_capacity(carrier, params) else 0
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
-    shares = max(1, min(cpus, args.bits // MIN_SHARE, rows))
-    cuts = [rows * i // shares * per_row for i in range(shares)] + [args.bits]
+    shares = max(1, min(cpus, bits // MIN_SHARE, rows))
+    cuts = [rows * i // shares * per_row for i in range(shares)] + [bits]
     pipes, pids = [], []
     try:
         for first, end in zip(cuts[1:], cuts[2:]):
@@ -304,17 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stat-embed", help="embed message bits into carrier blocks")
     add_stat_common(p)
     p.add_argument("--payload", required=True, help="text file of message bits (0/1, whitespace ignored)")
-    p.add_argument("--k", type=int, default=10, help="additive strength (default 10)")
+    p.add_argument("--k", default="10", help="additive strength (default 10)")
     p.add_argument("--out", dest="outfile", required=True, help="stego carrier output path")
     p.set_defaults(func=cmd_stat_embed)
 
     p = sub.add_parser("stat-extract", help="recover message bits from a carrier")
     add_stat_common(p)
-    p.add_argument("--bits", type=int, required=True, help="number of bits to read")
+    p.add_argument("--bits", required=True, help="number of bits to read")
     p.add_argument("--csv", action="store_true", help="print block,q,bit as CSV")
     p.set_defaults(func=cmd_stat_extract)
     # detection needs no k: the test is blind to the embedding strength
-    p.set_defaults(k=10)
+    p.set_defaults(k="10")
 
     return parser
 

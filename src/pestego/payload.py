@@ -33,7 +33,9 @@ from .pe_format import PeImage, Region, header_slack, parse_pe
 
 MAGIC = b"SPE1"
 MAX_NAME_BYTES = 255
-FIXED_OVERHEAD = 14  # magic + name_len + data_len + crc
+_HEAD = struct.Struct("<4sH")  # magic, name_len
+_U32 = struct.Struct("<I")  # data_len, then the CRC
+FIXED_OVERHEAD = _HEAD.size + 2 * _U32.size
 
 
 def safe_file_name(name: str, action: str = "write") -> str:
@@ -69,41 +71,32 @@ class PayloadRecord(NamedTuple):
 
     def encode(self) -> bytes:
         name_bytes = _encode_name(self.name)
-        crc = zlib.crc32(name_bytes + self.data) & 0xFFFFFFFF
+        crc = zlib.crc32(name_bytes + self.data)
         return b"".join(
-            (
-                MAGIC,
-                struct.pack("<H", len(name_bytes)),
-                name_bytes,
-                struct.pack("<I", len(self.data)),
-                self.data,
-                struct.pack("<I", crc),
-            )
+            (_HEAD.pack(MAGIC, len(name_bytes)), name_bytes, _U32.pack(len(self.data)), self.data, _U32.pack(crc))
         )
 
     @classmethod
     def decode(cls, buf: bytes) -> "PayloadRecord":
         """Decode a record from the start of ``buf`` (trailing bytes ignored)."""
-        if len(buf) < 4 or buf[:4] != MAGIC:
+        if buf[: len(MAGIC)] != MAGIC:
             raise NoPayloadError("no payload record magic found")
-        if len(buf) < 6:
+        if len(buf) < _HEAD.size:
             raise CorruptPayloadError("record truncated before name length")
-        (name_len,) = struct.unpack_from("<H", buf, 4)
+        _, name_len = _HEAD.unpack_from(buf)
         if not 1 <= name_len <= MAX_NAME_BYTES:
             raise CorruptPayloadError(f"name length {name_len} outside 1..{MAX_NAME_BYTES}")
-        pos = 6
-        if pos + name_len + 4 > len(buf):
+        pos = _HEAD.size + name_len
+        if pos + _U32.size > len(buf):
             raise CorruptPayloadError("record name and data length exceed available bytes")
-        name_bytes = buf[pos : pos + name_len]
-        pos += name_len
-        (data_len,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        if pos + data_len + 4 > len(buf):
+        name_bytes = buf[_HEAD.size : pos]
+        (data_len,) = _U32.unpack_from(buf, pos)
+        pos += _U32.size
+        if pos + data_len + _U32.size > len(buf):
             raise CorruptPayloadError("record data and checksum exceed available bytes")
         data = buf[pos : pos + data_len]
-        pos += data_len
-        (stored_crc,) = struct.unpack_from("<I", buf, pos)
-        actual_crc = zlib.crc32(name_bytes + data) & 0xFFFFFFFF
+        (stored_crc,) = _U32.unpack_from(buf, pos + data_len)
+        actual_crc = zlib.crc32(name_bytes + data)
         if stored_crc != actual_crc:
             raise CorruptPayloadError(f"CRC mismatch: stored 0x{stored_crc:08X}, computed 0x{actual_crc:08X}")
         try:

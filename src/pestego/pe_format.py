@@ -24,20 +24,18 @@ DOS_MAGIC = b"MZ"
 PE_SIGNATURE = b"PE\x00\x00"
 PE32_MAGIC = 0x10B
 
-DOS_HEADER_SIZE = 0x40
-E_LFANEW_OFFSET = 0x3C
-COFF_HEADER_SIZE = 20
-SECTION_HEADER_SIZE = 40
 ADDRESS_LIMIT_32 = 0x1_0000_0000
 
-# Offsets of decoded fields relative to the optional-header start.
-_OPT_ENTRY_POINT = 16
-_OPT_IMAGE_BASE = 28
-_OPT_FILE_ALIGNMENT = 36
-_OPT_SIZE_OF_HEADERS = 60
-_OPT_CHECKSUM = 64
-# Fields past CheckSum are carried as opaque bytes; decoding stops here.
-_MIN_OPTIONAL_SIZE = 68
+# Each header as it lies on disk: its fields in NtHeaders / SectionHeader order, pad bytes skipped, and
+# .size the header's size.
+_DOS = struct.Struct("<2s58xI")  # e_magic, e_lfanew
+_COFF = struct.Struct("<HH12xH2x")  # Machine, NumberOfSections, SizeOfOptionalHeader
+# Magic, AddressOfEntryPoint, ImageBase, FileAlignment, SizeOfHeaders, CheckSum.  Decoding stops there; the
+# fields past CheckSum are carried as opaque bytes, and a shorter optional header is refused.
+_OPTIONAL = struct.Struct("<H14xI8xI4xI20xII")
+_SECTION = struct.Struct("<8s4I16x")  # Name, VirtualSize, VirtualAddress, SizeOfRawData, PointerToRawData
+COFF_HEADER_SIZE = _COFF.size
+SECTION_HEADER_SIZE = _SECTION.size
 
 
 class Region(NamedTuple):
@@ -123,14 +121,6 @@ class PeImage(NamedTuple):
         )
 
 
-def _u16(data, offset: int) -> int:
-    return struct.unpack_from("<H", data, offset)[0]
-
-
-def _u32(data, offset: int) -> int:
-    return struct.unpack_from("<I", data, offset)[0]
-
-
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -175,59 +165,38 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
     """
     if type(data) is not bytes:
         data = memoryview(data).tobytes()
-    if len(data) < 2 or data[:2] != DOS_MAGIC:
+    if data[:2] != DOS_MAGIC:
         raise NotMzError("missing 'MZ' magic at offset 0")
-    if len(data) < DOS_HEADER_SIZE:
-        raise TruncatedError(f"file of {len(data)} bytes is smaller than the {DOS_HEADER_SIZE}-byte DOS header")
+    if len(data) < _DOS.size:
+        raise TruncatedError(f"file of {len(data)} bytes is smaller than the {_DOS.size}-byte DOS header")
 
-    e_lfanew = _u32(data, E_LFANEW_OFFSET)
-    if e_lfanew + 4 > len(data):
+    _, e_lfanew = _DOS.unpack_from(data)
+    if e_lfanew + len(PE_SIGNATURE) > len(data):
         raise TruncatedError(f"e_lfanew 0x{e_lfanew:X} points past end of file")
-    if data[e_lfanew : e_lfanew + 4] != PE_SIGNATURE:
+    if data[e_lfanew : e_lfanew + len(PE_SIGNATURE)] != PE_SIGNATURE:
         raise NotPeError(f"no 'PE\\0\\0' signature at e_lfanew 0x{e_lfanew:X}")
 
     coff_offset = e_lfanew + len(PE_SIGNATURE)
-    if coff_offset + COFF_HEADER_SIZE > len(data):
+    if coff_offset + _COFF.size > len(data):
         raise TruncatedError("COFF file header extends past end of file")
-    machine = _u16(data, coff_offset)
-    number_of_sections = _u16(data, coff_offset + 2)
-    size_of_optional_header = _u16(data, coff_offset + 16)
+    coff = _COFF.unpack_from(data, coff_offset)
+    size_of_optional_header = coff[-1]
 
-    opt_offset = coff_offset + COFF_HEADER_SIZE
-    if size_of_optional_header < _MIN_OPTIONAL_SIZE:
+    opt_offset = coff_offset + _COFF.size
+    if size_of_optional_header < _OPTIONAL.size:
         raise TruncatedError(f"optional header of {size_of_optional_header} bytes is too small to decode")
     if opt_offset + size_of_optional_header > len(data):
         raise TruncatedError("optional header extends past end of file")
-    opt_magic = _u16(data, opt_offset)
+    opt_magic, *optional = _OPTIONAL.unpack_from(data, opt_offset)
     if opt_magic != PE32_MAGIC:
         raise Not32BitError(f"optional-header magic 0x{opt_magic:X} is not PE32 (0x10B)")
-
-    nt = NtHeaders(
-        machine=machine,
-        number_of_sections=number_of_sections,
-        size_of_optional_header=size_of_optional_header,
-        address_of_entry_point=_u32(data, opt_offset + _OPT_ENTRY_POINT),
-        image_base=_u32(data, opt_offset + _OPT_IMAGE_BASE),
-        file_alignment=_u32(data, opt_offset + _OPT_FILE_ALIGNMENT),
-        size_of_headers=_u32(data, opt_offset + _OPT_SIZE_OF_HEADERS),
-        checksum=_u32(data, opt_offset + _OPT_CHECKSUM),
-    )
+    nt = NtHeaders(*coff, *optional)
 
     table_offset = opt_offset + size_of_optional_header
-    table_end = table_offset + SECTION_HEADER_SIZE * number_of_sections
+    table_end = table_offset + _SECTION.size * nt.number_of_sections
     if table_end > len(data):
         raise TruncatedError("section table extends past end of file")
-
-    sections = tuple(
-        SectionHeader(
-            name=data[off : off + 8],
-            virtual_size=_u32(data, off + 8),
-            virtual_address=_u32(data, off + 12),
-            size_of_raw_data=_u32(data, off + 16),
-            pointer_to_raw_data=_u32(data, off + 20),
-        )
-        for off in range(table_offset, table_end, SECTION_HEADER_SIZE)
-    )
+    sections = tuple(map(SectionHeader._make, _SECTION.iter_unpack(data[table_offset:table_end])))
 
     warnings = _layout_warnings(nt, sections, len(data))
     if strict and warnings:

@@ -7,6 +7,7 @@ formulas, no numpy and no pestego imports.
 from __future__ import annotations
 
 import math
+import struct
 
 
 def crc32_bitwise(data: bytes) -> int:
@@ -125,3 +126,102 @@ def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
     if len(raster) > width * height:
         raise ValueError(f"{len(raster) - width * height} trailing bytes after PGM raster")
     return width, height, bytes(raster)
+
+
+def pe_headers_by_offsets(data: bytes):
+    """(NtHeaders fields, each section's fields, nt_offset, warnings) of a PE32 file, read one field at a time at
+    hand-added offsets as pestego's parse_pe did before each header became one struct; a refusal is
+    'ErrorClassName: message' with the parser's text."""
+
+    def u16(offset: int) -> int:
+        return struct.unpack_from("<H", data, offset)[0]
+
+    def u32(offset: int) -> int:
+        return struct.unpack_from("<I", data, offset)[0]
+
+    if len(data) < 2 or data[:2] != b"MZ":
+        return "NotMzError: missing 'MZ' magic at offset 0"
+    if len(data) < 0x40:
+        return f"TruncatedError: file of {len(data)} bytes is smaller than the 64-byte DOS header"
+    e_lfanew = u32(0x3C)
+    if e_lfanew + 4 > len(data):
+        return f"TruncatedError: e_lfanew 0x{e_lfanew:X} points past end of file"
+    if data[e_lfanew : e_lfanew + 4] != b"PE\x00\x00":
+        return f"NotPeError: no 'PE\\0\\0' signature at e_lfanew 0x{e_lfanew:X}"
+    coff = e_lfanew + 4
+    if coff + 20 > len(data):
+        return "TruncatedError: COFF file header extends past end of file"
+    machine, number_of_sections, size_of_optional_header = u16(coff), u16(coff + 2), u16(coff + 16)
+    opt = coff + 20
+    if size_of_optional_header < 68:
+        return f"TruncatedError: optional header of {size_of_optional_header} bytes is too small to decode"
+    if opt + size_of_optional_header > len(data):
+        return "TruncatedError: optional header extends past end of file"
+    if u16(opt) != 0x10B:
+        return f"Not32BitError: optional-header magic 0x{u16(opt):X} is not PE32 (0x10B)"
+    file_alignment = u32(opt + 36)
+    nt = (machine, number_of_sections, size_of_optional_header, u32(opt + 16), u32(opt + 28), file_alignment,
+          u32(opt + 60), u32(opt + 64))
+    table = opt + size_of_optional_header
+    if table + 40 * number_of_sections > len(data):
+        return "TruncatedError: section table extends past end of file"
+    sections = tuple(
+        (data[off : off + 8], u32(off + 8), u32(off + 12), u32(off + 16), u32(off + 20))
+        for off in range(table, table + 40 * number_of_sections, 40)
+    )
+
+    warnings = []
+    if file_alignment < 512 or file_alignment & (file_alignment - 1):
+        warnings.append(f"FileAlignment 0x{file_alignment:X} is not a power of two >= 512")
+    if number_of_sections < 1:
+        warnings.append("section table is empty")
+    labels = [s[0].rstrip(b"\x00").decode("ascii", errors="replace") or f"#{i}" for i, s in enumerate(sections)]
+    for (_, _, _, raw_size, raw_ptr), label in zip(sections, labels):
+        if file_alignment > 0:
+            if raw_ptr % file_alignment:
+                warnings.append(f"section {label}: PointerToRawData 0x{raw_ptr:X} not aligned to FileAlignment")
+            if raw_size % file_alignment:
+                warnings.append(f"section {label}: SizeOfRawData 0x{raw_size:X} not aligned to FileAlignment")
+        if raw_size and raw_ptr + raw_size > len(data):
+            warnings.append(f"section {label}: raw data extends past end of file")
+    # (start, end, label) in file order; each meets its neighbour and the earlier span reaching furthest
+    occupied = sorted(((s[4], s[4] + s[3], label) for s, label in zip(sections, labels) if s[3]), key=lambda o: o[0])
+    furthest = None
+    for before, span in zip([None, *occupied], occupied):
+        for other in dict.fromkeys((before, furthest)):
+            if other is not None and other[0] < span[1] and span[0] < other[1]:
+                warnings.append(f"sections {other[2]} and {span[2]} overlap in file space")
+        if furthest is None or span[1] >= furthest[1]:
+            furthest = span
+    return nt, sections, e_lfanew, tuple(warnings)
+
+
+def record_by_offsets(buf: bytes):
+    """(name, data) of an SPE1 record at the start of buf, read one field at a time as pestego's
+    PayloadRecord.decode did before its framing became structs; a refusal is 'ErrorClassName: message'."""
+    if len(buf) < 4 or buf[:4] != b"SPE1":
+        return "NoPayloadError: no payload record magic found"
+    if len(buf) < 6:
+        return "CorruptPayloadError: record truncated before name length"
+    (name_len,) = struct.unpack_from("<H", buf, 4)
+    if not 1 <= name_len <= 255:
+        return f"CorruptPayloadError: name length {name_len} outside 1..255"
+    pos = 6
+    if pos + name_len + 4 > len(buf):
+        return "CorruptPayloadError: record name and data length exceed available bytes"
+    name_bytes = buf[pos : pos + name_len]
+    pos += name_len
+    (data_len,) = struct.unpack_from("<I", buf, pos)
+    pos += 4
+    if pos + data_len + 4 > len(buf):
+        return "CorruptPayloadError: record data and checksum exceed available bytes"
+    data = buf[pos : pos + data_len]
+    pos += data_len
+    (stored_crc,) = struct.unpack_from("<I", buf, pos)
+    actual_crc = crc32_bitwise(name_bytes + data)
+    if stored_crc != actual_crc:
+        return f"CorruptPayloadError: CRC mismatch: stored 0x{stored_crc:08X}, computed 0x{actual_crc:08X}"
+    try:
+        return name_bytes.decode("utf-8"), bytes(data)
+    except UnicodeDecodeError:
+        return "CorruptPayloadError: record name is not valid UTF-8"

@@ -50,7 +50,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         cover, stego, secret, out = work / "cover.exe", work / "stego.exe", work / "secret.bin", work / "out"
-        cover.write_bytes(build_pe(num_sections=2, header_slack=0x88).data)
+        built = build_pe(num_sections=2, header_slack=0x88)
+        cover.write_bytes(built.data)
         secret.write_bytes(bytes(range(50)))
 
         pestego("inspect", "--in", cover)
@@ -61,6 +62,13 @@ def main() -> None:
         pestego("verify", cover, stego)
         pestego("embed", "--in", stego, "--payload", secret, "--out", work / "again.exe", expect=4)
         pestego("extract", "--in", cover, "--out", out, expect=5)
+        cut, flipped = work / "cut.exe", work / "flipped.exe"
+        cut.write_bytes(built.data[: built.e_lfanew + 4 + 10])  # ends inside the COFF header
+        pestego("inspect", "--in", cut, expect=2)
+        stego_bytes = bytearray(stego.read_bytes())
+        stego_bytes[stego_bytes.index(b"SPE1") + 6 + len("secret.bin") + 4] ^= 0xFF  # the first payload data byte
+        flipped.write_bytes(stego_bytes)
+        pestego("extract", "--in", flipped, "--out", out, expect=6)
 
         carrier, marked, bits = work / "gray.pgm", work / "marked.pgm", work / "bits.txt"
         carrier.write_bytes(b"P5\n%d %d\n255\n" % (SIDE, SIDE) + bytes([GRAY]) * (SIDE * SIDE))
@@ -71,6 +79,7 @@ def main() -> None:
         read = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message))
         check(read == f"bits: {message}\n", "stat-extract reads back every embedded bit")
         pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", 1, "--block", "+8x8", expect=2)
+        pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", "1_6", expect=2)
     print("smoke: every command ran as expected")
 
 

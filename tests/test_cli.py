@@ -430,6 +430,17 @@ REFUSALS = [
     pytest.param(stat_extract("--block", "٨x8"), 2, "expected WxH, got '٨x8'", id="block-arabic-indic-digit"),
     pytest.param(stat_extract("--block", " 8x8"), 2, "expected WxH, got ' 8x8'", id="block-space"),
     pytest.param(stat_extract("--raw", "8_0x16"), 2, "expected WxH, got '8_0x16'", id="raw-underscore"),
+    # --bits and --k take ASCII decimal digits too
+    pytest.param(stat_extract("--bits", "1_6"), 2, "--bits expects a decimal integer, got '1_6'", id="bits-underscore"),
+    pytest.param(stat_extract("--bits", "٨"), 2, "--bits expects a decimal integer, got '٨'", id="bits-arabic-indic-digit"),
+    pytest.param(stat_extract("--bits", " 8"), 2, "--bits expects a decimal integer, got ' 8'", id="bits-space"),
+    pytest.param(
+        ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "bits.txt", "--k", "1_0", "--out", "out.pgm"), 2,
+        "--k expects a decimal integer, got '1_0'", id="k-underscore",
+    ),
+    # a hex key is whole bytes of hex digits after 0x, with nothing between them
+    pytest.param(stat_extract("--key", "0x"), 2, "bad hex key '0x'", id="hex-key-empty"),
+    pytest.param(stat_extract("--key", "0x41 42"), 2, "bad hex key '0x41 42'", id="hex-key-space"),
 ]
 
 
@@ -446,6 +457,7 @@ def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
     }
     files = {
         "short.pgm": b"P5 2",
+        "bits.txt": b"1",
         "mz10.exe": b"MZ" + bytes(8),
         "coff-cut.exe": data[: coff + 10],
         "opt60.exe": bytes(opt60),

@@ -5,11 +5,12 @@ import tracemalloc
 import zlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pe_builder import SectionPlan, build_pe
-from oracles import byte_diff_offsets, crc32_bitwise
+from oracles import byte_diff_offsets, crc32_bitwise, record_by_offsets
+from test_fuzz import RECORDS, mutated
 
 from pestego import (
     CorruptPayloadError,
@@ -17,6 +18,7 @@ from pestego import (
     NameTooLongError,
     NoPayloadError,
     PayloadRecord,
+    PeStegoError,
     SlackOccupiedError,
     UnsafeNameError,
     capacity,
@@ -246,3 +248,27 @@ class TestWriteExtractedFile:
         blocker.write_bytes(b"")
         with pytest.raises(OSError):
             write_extracted_file("p.bin", b"", str(blocker))
+
+
+def decoded(data: bytes):
+    """The (name, data) PayloadRecord.decode reads, or its refusal as 'ErrorClassName: message'."""
+    try:
+        return tuple(PayloadRecord.decode(data))
+    except PeStegoError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300)
+@given(data=mutated(RECORDS, hot=64))
+@example(data=RECORDS[0])
+@example(data=RECORDS[1])
+def test_decode_matches_the_offset_reader(data):
+    """The name, data and refusal text of a mutated record, against a field-at-a-time reader."""
+    assert decoded(data) == record_by_offsets(data)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=["ascii", "utf8-empty"])
+def test_each_record_cut_and_flip_matches_the_offset_reader(record):
+    variants = [record[:cut] for cut in range(len(record) + 1)]
+    variants += [record[:at] + bytes([~record[at] & 0xFF]) + record[at + 1 :] for at in range(len(record))]
+    assert [decoded(v) for v in variants] == [record_by_offsets(v) for v in variants]

@@ -4,15 +4,18 @@ import re
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import pe_headers_by_offsets
 from pe_builder import SectionPlan, build_pe
+from test_fuzz import COVER, STEGO, pe_files
 
 from pestego import (
     Not32BitError,
     NotMzError,
     NotPeError,
+    PeStegoError,
     Region,
     StrictParseError,
     TruncatedError,
@@ -292,3 +295,36 @@ class TestBufferOwnership:
         buf[: len(buf)] = bytes(len(buf))
         assert serialize(image) == spec_pe.data
         assert type(serialize(image)) is bytes
+
+
+OPTIONAL_MAGIC = COVER.e_lfanew + 24
+PE32_PLUS = COVER.data[:OPTIONAL_MAGIC] + b"\x0b\x02" + COVER.data[OPTIONAL_MAGIC + 2 :]
+
+
+def decoded(data: bytes):
+    """parse_pe's headers as the oracle returns them, or its refusal as 'ErrorClassName: message'."""
+    try:
+        image = parse_pe(data)
+    except PeStegoError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return image.nt_headers, image.sections, image.nt_offset, image.warnings
+
+
+@settings(max_examples=300)
+@given(data=pe_files)
+@example(data=COVER.data)
+@example(data=STEGO)
+@example(data=PE32_PLUS)
+def test_headers_match_the_offset_reader(data):
+    """Every decoded field, warning and refusal text of a mutated file, against a field-at-a-time reader."""
+    assert decoded(data) == pe_headers_by_offsets(data)
+
+
+def test_each_header_cut_and_flip_matches_the_offset_reader():
+    """The cover cut at each length up to SizeOfHeaders, with each header byte inverted, and with SizeOfOptionalHeader
+    either side of the decoded prefix, against that reader."""
+    data, end, size_field = COVER.data, COVER.size_of_headers, COVER.e_lfanew + 20
+    variants = [data[:cut] for cut in range(end + 1)]
+    variants += [data[:at] + bytes([~data[at] & 0xFF]) + data[at + 1 :] for at in range(end)]
+    variants += [data[:size_field] + struct.pack("<H", n) + data[size_field + 2 :] for n in (67, 68)]
+    assert [decoded(v) for v in variants] == [pe_headers_by_offsets(v) for v in variants]
