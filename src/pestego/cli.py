@@ -83,8 +83,12 @@ def _load_image(path: str, strict: bool):
 def _stat_params(args):
     from . import statstego
 
+    # ASCII decimal, fraction and exponent optional (any finite float's repr); '-0.5' and '1e400' reach the domain check
+    if not re.fullmatch(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?", args.alpha):
+        raise ValueError(f"--alpha expects a decimal number, got {args.alpha!r}")
     block_w, block_h = _parse_dims(args.block)
-    return statstego.StatParams(block_rows=block_h, block_cols=block_w, k=_parse_int("--k", args.k), alpha=args.alpha)
+    k = _parse_int("--k", args.k)
+    return statstego.StatParams(block_rows=block_h, block_cols=block_w, k=k, alpha=float(args.alpha))
 
 
 def _read_carrier(args):
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_stat_common(p):
         p.add_argument("--in", dest="infile", required=True, help="carrier image (PGM unless --raw)")
         p.add_argument("--key", required=True, help="stego key: UTF-8 text or 0x-prefixed hex")
-        p.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
+        p.add_argument("--alpha", default="0.05", help="significance level (default 0.05)")
         p.add_argument("--block", default="8x8", help="block size WxH in pixels (default 8x8)")
         p.add_argument("--raw", metavar="WxH", help="treat carrier as a headerless byte grid of WxH")
 

@@ -36,35 +36,17 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _key_seed(key: bytes) -> int:
-    """64-bit FNV-1a of the key bytes; the documented key-to-seed mix."""
-    h = _FNV_OFFSET
+def _key_stream(key: bytes):
+    """Unsigned 64-bit splitmix64 draws, without end, seeded with the FNV-1a-64 hash of the key bytes;
+    chosen over random.Random so the pattern stream is pinned by this module, not by interpreter internals."""
+    state = _FNV_OFFSET
     for b in key:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
-class _SplitMix64:
-    """Tiny keyed generator; chosen over random.Random so the pattern
-    stream is pinned by this module, not by interpreter internals."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        state = ((state ^ b) * _FNV_PRIME) & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        # rejection keeps the bounded draw exactly uniform
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            value = self.next_u64()
-            if value < limit:
-                return value % bound
+        yield z ^ (z >> 31)
 
 
 class _Checked:
@@ -107,9 +89,13 @@ def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
     if block_len < 2:
         raise ValueError(f"block length must be >= 2, got {block_len}")
     bits = bytearray([1] * (block_len // 2) + [0] * (block_len // 2))
-    rng = _SplitMix64(_key_seed(key))
+    draws = _key_stream(key)
     for i in range(block_len - 1, 0, -1):
-        j = rng.below(i + 1)
+        limit = (1 << 64) - (1 << 64) % (i + 1)  # rejection keeps the bounded draw exactly uniform
+        for j in draws:
+            if j < limit:
+                break
+        j %= i + 1
         bits[i], bits[j] = bits[j], bits[i]
     return KeyPattern(bytes(bits))
 

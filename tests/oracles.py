@@ -225,3 +225,41 @@ def record_by_offsets(buf: bytes):
         return name_bytes.decode("utf-8"), bytes(data)
     except UnicodeDecodeError:
         return "CorruptPayloadError: record name is not valid UTF-8"
+
+
+def pattern_by_recipe(key: bytes, block_len: int) -> bytes:
+    """The balanced 0/1 mask for (key, block_len), built by the recipe pestego pins, as its derive_pattern did
+    with a seed function and a two-method generator class: FNV-1a-64 of the key seeds splitmix64, whose
+    rejection-sampled bounded draws drive a Fisher-Yates shuffle of block_len/2 ones followed by as many zeros."""
+    mask = 0xFFFFFFFFFFFFFFFF
+
+    def key_seed() -> int:
+        h = 0xCBF29CE484222325
+        for b in key:
+            h = ((h ^ b) * 0x100000001B3) & mask
+        return h
+
+    class SplitMix64:
+        def __init__(self, seed: int):
+            self.state = seed & mask
+
+        def next_u64(self) -> int:
+            self.state = (self.state + 0x9E3779B97F4A7C15) & mask
+            z = self.state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        def below(self, bound: int) -> int:
+            limit = (1 << 64) - ((1 << 64) % bound)
+            while True:
+                value = self.next_u64()
+                if value < limit:
+                    return value % bound
+
+    bits = bytearray([1] * (block_len // 2) + [0] * (block_len // 2))
+    rng = SplitMix64(key_seed())
+    for i in range(block_len - 1, 0, -1):
+        j = rng.below(i + 1)
+        bits[i], bits[j] = bits[j], bits[i]
+    return bytes(bits)

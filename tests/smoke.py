@@ -78,6 +78,9 @@ def main() -> None:
         pestego("stat-embed", "--in", carrier, "--key", "smoke", "--payload", bits, "--out", marked)
         read = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message))
         check(read == f"bits: {message}\n", "stat-extract reads back every embedded bit")
+        strict = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message), "--alpha", "1e-3")
+        check(strict == read, "a stricter --alpha reads the same bits, since every q is 0 or +inf")
+        pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", 1, "--alpha", "0_0.05", expect=2)
         pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", 1, "--block", "+8x8", expect=2)
         pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", "1_6", expect=2)
     print("smoke: every command ran as expected")

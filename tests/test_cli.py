@@ -441,6 +441,16 @@ REFUSALS = [
     # a hex key is whole bytes of hex digits after 0x, with nothing between them
     pytest.param(stat_extract("--key", "0x"), 2, "bad hex key '0x'", id="hex-key-empty"),
     pytest.param(stat_extract("--key", "0x41 42"), 2, "bad hex key '0x41 42'", id="hex-key-space"),
+    # --alpha takes an ASCII decimal number, fraction and exponent optional
+    pytest.param(stat_extract("--alpha", "0_0.05"), 2, "--alpha expects a decimal number, got '0_0.05'", id="alpha-underscore"),
+    pytest.param(stat_extract("--alpha", " 0.05"), 2, "--alpha expects a decimal number, got ' 0.05'", id="alpha-space"),
+    pytest.param(stat_extract("--alpha", "٠.٠٥"), 2, "--alpha expects a decimal number, got '٠.٠٥'", id="alpha-arabic-indic-digit"),
+    pytest.param(stat_extract("--alpha", "+0.05"), 2, "--alpha expects a decimal number, got '+0.05'", id="alpha-plus"),
+    pytest.param(stat_extract("--alpha", "nan"), 2, "--alpha expects a decimal number, got 'nan'", id="alpha-nan"),
+    pytest.param(
+        ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "bits.txt", "--alpha", "0_0.05", "--out", "out.pgm"),
+        2, "--alpha expects a decimal number, got '0_0.05'", id="alpha-underscore-embed",
+    ),
 ]
 
 

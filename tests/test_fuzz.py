@@ -41,8 +41,9 @@ PGMS = [
 
 
 @st.composite
-def mutated(draw, seeds: list[bytes], hot: int) -> bytes:
-    """One of ``seeds`` after 1-4 edits; flips favour the first ``hot`` bytes, where the headers are."""
+def mutated(draw, seeds: list[bytes], hot: int, fields: tuple[int, ...] = ()) -> bytes:
+    """One of ``seeds`` after 1-4 edits; flips favour the first ``hot`` bytes, where the headers are,
+    and aim a third of the time at the offsets in ``fields``."""
     data = bytearray(draw(st.sampled_from(seeds)))
     for _ in range(draw(st.integers(1, 4))):
         edit = draw(st.sampled_from(("flip", "truncate", "extend")))
@@ -51,12 +52,17 @@ def mutated(draw, seeds: list[bytes], hot: int) -> bytes:
         elif edit == "extend" or not data:  # an empty buffer can only grow
             data += draw(st.binary(min_size=1, max_size=64))
         else:
-            at = draw(st.integers(0, min(hot, len(data)) - 1) | st.integers(0, len(data) - 1))
+            spots = st.integers(0, min(hot, len(data)) - 1) | st.integers(0, len(data) - 1)
+            reachable = [at for at in fields if at < len(data)]
+            at = draw(spots | st.sampled_from(reachable) if reachable else spots)
             data[at] ^= draw(st.integers(1, 255))
     return bytes(data)
 
 
-pe_files = mutated([COVER.data, STEGO], hot=COVER.size_of_headers)
+# e_lfanew itself, the 'PE\0\0' signature it points at and the optional-header magic: the fields whose
+# flips give NotPeError and Not32BitError, which random flips over the headers almost never reach
+PE_FIELDS = (*range(0x3C, 0x40), *range(COVER.e_lfanew, COVER.e_lfanew + 4), COVER.e_lfanew + 24, COVER.e_lfanew + 25)
+pe_files = mutated([COVER.data, STEGO], hot=COVER.size_of_headers, fields=PE_FIELDS)
 
 
 def domain_errors_only(call, *args, **kwargs):

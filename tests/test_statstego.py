@@ -58,6 +58,13 @@ class TestPattern:
         with pytest.raises(ValueError):
             KeyPattern(bytes([1, 2, 0, 0]))
 
+    @given(key=st.binary(max_size=64), length=st.integers(1, 2048).map(lambda n: 2 * n))
+    @example(key=b"pinned", length=65536)
+    @example(key=b"", length=64)
+    def test_matches_recipe(self, key, length):
+        """The mask is the pinned recipe's, computed independently, for any key and even length."""
+        assert derive_pattern(key, length).bits == oracles.pattern_by_recipe(key, length)
+
 
 # Keys whose derived masks at block length 4 the tests below rely on.
 KEY_1010 = b"key"
