@@ -148,11 +148,11 @@ def cmd_embed(args) -> tuple[int, list[str]]:
     name = args.name if args.name is not None else os.path.basename(args.payload)
     stego = hide(image, name, data, force=args.force)
     write_atomic(args.outfile, serialize(stego))
-    slack = header_slack(image)
-    record_len = capacity(image, name).overhead + len(data)
+    report = capacity(image, name)
+    record_len = report.overhead + len(data)
     return EXIT_OK, [
-        f'hid "{name}" ({len(data)} data bytes, {record_len} record bytes) at 0x{slack.offset:X}',
-        f"slack used: {record_len}/{slack.length} bytes",
+        f'hid "{name}" ({len(data)} data bytes, {record_len} record bytes) at 0x{report.region.offset:X}',
+        f"slack used: {record_len}/{report.region.length} bytes",
         f"wrote {args.outfile}",
     ]
 
@@ -213,11 +213,10 @@ MIN_SHARE = 4096
 
 
 def _share_text(carrier, key: bytes, params, first: int, end: int, csv: bool) -> str:
-    """This share's piece of stdout for the carrier's first end - first blocks: their bit digits, or with csv
-    one row per block, numbered from first and each after a newline."""
+    """Blocks first..end-1 as stdout: bit digits, or with csv one newline-led row each, numbered from first."""
     from .statstego import detect_blocks
 
-    q, bits = detect_blocks(carrier, key, end - first, params)
+    q, bits = detect_blocks(carrier, key, end - first, params, first)
     if csv:
         return "".join([f"\n{i},{qi!r},{bit}" for i, qi, bit in zip(range(first, end), q, bits)])
     return bits.tobytes().translate(bytes.maketrans(b"\0\1", b"01")).decode()
@@ -231,12 +230,10 @@ def cmd_stat_extract(args) -> tuple[int, list[str]]:
     carrier = _read_carrier(args)
     key = _parse_key(args.key)
     params.z_alpha  # noqa: B018 -- imports statistics once, here, rather than in every worker
-    # one share of whole block rows per usable CPU; a --bits that detect_blocks refuses gets one share
-    per_row = carrier.width // params.block_cols
-    rows = -(-bits // per_row) if 0 < bits <= statstego.block_capacity(carrier, params) else 0
+    # one equal run of blocks per usable CPU; a --bits that detect_blocks refuses gets one share
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
-    shares = max(1, min(cpus, bits // MIN_SHARE, rows))
-    cuts = [rows * i // shares * per_row for i in range(shares)] + [bits]
+    shares = max(1, min(cpus, bits // MIN_SHARE)) if bits <= statstego.block_capacity(carrier, params) else 1
+    cuts = [bits * i // shares for i in range(shares + 1)]
     pipes, pids = [], []
     try:
         for first, end in zip(cuts[1:], cuts[2:]):
@@ -248,9 +245,7 @@ def cmd_stat_extract(args) -> tuple[int, list[str]]:
                     try:
                         for pipe in pipes:  # the parent stays the only reader, so no worker waits on an unread pipe
                             pipe.close()
-                        pixels = carrier.pixels[first // per_row * params.block_rows * carrier.width :]
-                        crop = statstego.Carrier(carrier.width, len(pixels) // carrier.width, pixels)
-                        out.write(_share_text(crop, key, params, first, end, args.csv).encode())
+                        out.write(_share_text(carrier, key, params, first, end, args.csv).encode())
                         out.close()
                         os._exit(0)
                     finally:

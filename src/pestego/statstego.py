@@ -188,11 +188,11 @@ _SQUARE_LO = bytes(x * x & 0xFF for x in range(256))
 _SQUARE_HI = bytes(x * x >> 8 for x in range(256))
 
 
-def _row_starts(width: int, shape: tuple[int, int], count: int, r: int) -> range:
-    """Offsets of pixel row r of each block row that holds one of the first count blocks."""
+def _row_starts(width: int, shape: tuple[int, int], first: int, end: int, r: int) -> range:
+    """Offsets of pixel row r of each block row that holds one of blocks first..end-1."""
     bh, bw = shape
-    block_rows = -(-count // (width // bw))
-    return range(r * width, block_rows * bh * width, bh * width)
+    per_row = width // bw
+    return range((first // per_row * bh + r) * width, -(-end // per_row) * bh * width, bh * width)
 
 
 def _raise_blocks(grid: bytearray, width: int, shape: tuple[int, int], pattern: bytes, k: int, message: bytes) -> None:
@@ -204,7 +204,7 @@ def _raise_blocks(grid: bytearray, width: int, shape: tuple[int, int], pattern: 
     raised = bytes(min(x + k, 255) for x in range(256))
     mask = int.from_bytes(message.translate(_TO_FF), "little")
     for r in range(bh):
-        starts = _row_starts(width, shape, n, r)
+        starts = _row_starts(width, shape, 0, n, r)
         rows = bytearray().join([grid[at : at + span] for at in starts])
         for c in range(bw):
             if pattern[r * bw + c]:
@@ -230,8 +230,8 @@ def _field(total: int, lane: int, offset: int, width: int, count: int) -> tuple[
     return struct.unpack(f"<{count}Q", wide)
 
 
-def _block_q(pixels: bytes, width: int, shape: tuple[int, int], pattern: bytes, count: int) -> array:
-    """q of each of the first count blocks: exact integer moments, then _q's float steps.
+def _block_q(pixels: bytes, width: int, shape: tuple[int, int], pattern: bytes, first: int, count: int) -> array:
+    """q of each of the count blocks from block first on: exact integer moments, then _q's float steps.
 
     The moments are summed in the lanes of two big integers, one for the C
     positions and one for D (SIMD within a register).  A lane holds one
@@ -241,15 +241,15 @@ def _block_q(pixels: bytes, width: int, shape: tuple[int, int], pattern: bytes, 
     if count == 0:  # also covers a carrier narrower than one block, which holds no block
         return array("d")
     bh, bw = shape
-    span = width // bw * bw
+    span, skip = width // bw * bw, first % (width // bw) * bw
     low = _byte_width(bh * bw * 255)
     lane = low + _byte_width(bh * bw * 255 * 255)
     buf = bytearray(count * lane)
     sums = [0, 0]  # the D lanes, the C lanes
     for r in range(bh):
-        rows = b"".join([pixels[at : at + span] for at in _row_starts(width, shape, count, r)])
+        rows = b"".join([pixels[at : at + span] for at in _row_starts(width, shape, first, first + count, r)])
         for c in range(bw):
-            values = rows[c : c + count * bw : bw]
+            values = rows[skip + c : skip + c + count * bw : bw]
             buf[0::lane] = values
             buf[low::lane] = values.translate(_SQUARE_LO)
             buf[low + 1 :: lane] = values.translate(_SQUARE_HI)
@@ -295,17 +295,19 @@ def embed_message(carrier: Carrier, key: bytes, bits: MessageLayout, params: Sta
     return Carrier(width=carrier.width, height=carrier.height, pixels=bytes(grid))
 
 
-def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatParams) -> tuple[array, array]:
-    """q (``array('d')``) and the detected bit (``array('B')``) of each of the first bit_count blocks.
+def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatParams, first: int = 0) -> tuple[array, array]:
+    """q (``array('d')``) and the detected bit (``array('B')``) of each of the bit_count blocks from block first on.
 
     q standardizes the C-minus-D mean difference by unbiased sample variances; a block with
     no spread gives 0, or a signed infinity if the means differ.  A bit is 1 iff q > z_alpha.
     """
     if bit_count < 0:
         raise ValueError(f"bit count must be non-negative, got {bit_count}")
-    _require_capacity(carrier, params, bit_count)
+    if first < 0:
+        raise ValueError(f"first block must be non-negative, got {first}")
+    _require_capacity(carrier, params, first + bit_count)
     shape = (params.block_rows, params.block_cols)
-    q = _block_q(carrier.pixels, carrier.width, shape, derive_pattern(key, params.block_len).bits, bit_count)
+    q = _block_q(carrier.pixels, carrier.width, shape, derive_pattern(key, params.block_len).bits, first, bit_count)
     return q, array("B", map(params.z_alpha.__lt__, q))
 
 

@@ -5,8 +5,9 @@
 Each command runs as ``python -W error -m pestego.cli`` with ``src/`` on
 PYTHONPATH, so the run needs no installed package: it shows that pestego
 works with ``dependencies = []`` and that no command emits a warning.
-The PE cover comes from ``pe_builder``.  The raster carrier is a
-constant-gray 1024x1024 PGM carrying 16,384 bits in 8x8 blocks: every block
+The PE cover comes from ``pe_builder``.  The raster carriers are
+constant-gray PGMs carrying bits in 8x8 blocks: 16,384 in a 1024x1024 one,
+and 8,192 side by side in the one block row of a 65536x8 one.  Every block
 reads q = 0 (bit 0) or q = +inf (bit 1), so the round trip is exact, and a
 read that long is split across CPUs where more than one is usable.
 pytest does not collect this file; it exits non-zero on the first mismatch.
@@ -27,7 +28,6 @@ sys.path.insert(0, str(TESTS))
 from pe_builder import build_pe  # noqa: E402
 
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")])))
-SIDE = 1024
 GRAY = 128  # GRAY + k stays below 255, so no pixel saturates
 
 
@@ -44,6 +44,18 @@ def pestego(*argv, expect: int = 0) -> str:
 def check(ok: bool, what: str) -> None:
     if not ok:
         sys.exit(f"smoke check failed: {what}")
+
+
+def stat_round_trip(work: Path, width: int, height: int, rng: random.Random) -> tuple[Path, str]:
+    """Mark every 8x8 block of a constant-gray carrier with a random bit and check that stat-extract reads them all."""
+    carrier, marked, bits = work / f"gray{width}.pgm", work / f"marked{width}.pgm", work / "bits.txt"
+    carrier.write_bytes(b"P5\n%d %d\n255\n" % (width, height) + bytes([GRAY]) * (width * height))
+    message = "".join(rng.choice("01") for _ in range((width // 8) * (height // 8)))
+    bits.write_text(message)
+    pestego("stat-embed", "--in", carrier, "--key", "smoke", "--payload", bits, "--out", marked)
+    read = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message))
+    check(read == f"bits: {message}\n", f"stat-extract reads back every bit embedded in {width}x{height}")
+    return marked, message
 
 
 def main() -> None:
@@ -70,19 +82,14 @@ def main() -> None:
         flipped.write_bytes(stego_bytes)
         pestego("extract", "--in", flipped, "--out", out, expect=6)
 
-        carrier, marked, bits = work / "gray.pgm", work / "marked.pgm", work / "bits.txt"
-        carrier.write_bytes(b"P5\n%d %d\n255\n" % (SIDE, SIDE) + bytes([GRAY]) * (SIDE * SIDE))
         rng = random.Random(16)
-        message = "".join(rng.choice("01") for _ in range((SIDE // 8) ** 2))
-        bits.write_text(message)
-        pestego("stat-embed", "--in", carrier, "--key", "smoke", "--payload", bits, "--out", marked)
-        read = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message))
-        check(read == f"bits: {message}\n", "stat-extract reads back every embedded bit")
+        marked, message = stat_round_trip(work, 1024, 1024, rng)
         strict = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message), "--alpha", "1e-3")
-        check(strict == read, "a stricter --alpha reads the same bits, since every q is 0 or +inf")
+        check(strict == f"bits: {message}\n", "a stricter --alpha reads the same bits, since every q is 0 or +inf")
         pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", 1, "--alpha", "0_0.05", expect=2)
         pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", 1, "--block", "+8x8", expect=2)
         pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", "1_6", expect=2)
+        stat_round_trip(work, 65536, 8, rng)  # one block row, which a 2-CPU read also splits
     print("smoke: every command ran as expected")
 
 

@@ -1,4 +1,4 @@
-"""stat-extract in shares of block rows: any share count prints the same bytes, refusals come before any fork.
+"""stat-extract in shares of blocks: any share count prints the same bytes, refusals come before any fork.
 
 Each check runs in a fresh interpreter that has not loaded numpy: from Python
 3.12, os.fork warns in a process with other threads, and numpy's BLAS
@@ -49,8 +49,24 @@ for bits in (0, 1, 17 * 5 + 3, 425):  # none, one, a ragged last block row, the 
         assert all(run == runs[0] for run in runs), (bits, flags)
 print(len(forks))
 """
-    # rows of 17 blocks: 1 bit takes 1 row (no fork), 88 bits 6 rows and 425 bits 25 rows (1+2+3 forks per mode)
+    # 0 and 1 bits make one share (no fork); 88 and 425 bits make one share per CPU (1+2+3 forks per mode)
     assert run_python(code, tmp_path) == [str(4 * 2 * (1 + 2 + 3))]
+
+
+def test_a_carrier_of_one_block_row_splits_like_any_other(tmp_path):
+    """1,024 blocks of 4x2 side by side in one block row: one share per CPU, and the bytes of one share."""
+    code = PRELUDE + """
+cli.MIN_SHARE = 1
+write_carrier("row.pgm", 4096, 2)
+for flags in ((), ("--csv",)):
+    serial = extract(1, "--in", "row.pgm", "--bits", "1024", *flags)
+    assert serial[0] == 0 and serial[1] and not serial[2], serial
+    for cpus in (1, 2, 4):
+        before = len(forks)
+        assert extract(cpus, "--in", "row.pgm", "--bits", "1024", *flags) == serial, (cpus, flags)
+        print(cpus, len(forks) - before)
+"""
+    assert run_python(code, tmp_path) == ["1 0", "2 1", "4 3"] * 2
 
 
 def test_pinned_output_of_a_split_read(tmp_path):

@@ -451,6 +451,51 @@ class TestBlockKernel:
         assert sorted(set(out.pixels)) == [250, 255]
 
 
+def range_case(seed: int, width: int, height: int, shape: tuple[int, int], first: int, count: int):
+    """A uniform carrier, params of the block shape, and the range of count blocks from block first."""
+    carrier = uniform_carrier(np.random.default_rng(seed), width, height)
+    return carrier, StatParams(block_rows=shape[0], block_cols=shape[1], alpha=0.01), first, count
+
+
+@st.composite
+def range_cases(draw):
+    """A carrier up to 64x48 with pixels of a full or a narrow range, and blocks first..first+count-1 of it."""
+    bh, bw = draw(block_shapes())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width, height, high = draw(st.integers(1, 64)), draw(st.integers(1, 48)), draw(st.sampled_from([2, 256]))
+    carrier = uniform_carrier(rng, width, height, high=high)
+    params = StatParams(block_rows=bh, block_cols=bw, alpha=0.01)
+    n = block_capacity(carrier, params)
+    first = draw(st.integers(0, n))
+    return carrier, params, first, draw(st.integers(0, n - first))
+
+
+class TestRangeRead:
+    """detect_blocks from block first on reads what a read from block 0 reads there."""
+
+    @given(case=range_cases(), key=st.binary(max_size=8))
+    @example(case=range_case(1, 64, 48, (2, 4), 21, 40), key=b"k")  # first in the middle of a block row
+    @example(case=range_case(2, 64, 48, (2, 4), 32, 19), key=b"k")  # first at the start of a block row
+    @example(case=range_case(3, 62, 47, (6, 4), 105, 0), key=b"k")  # no blocks, at first = capacity
+    def test_a_range_equals_the_slice_of_a_read_from_block_zero(self, case, key):
+        carrier, params, first, count = case
+        q, bits = detect_blocks(carrier, key, count, params, first)
+        q_all, bits_all = detect_blocks(carrier, key, first + count, params)
+        assert list(map(float.hex, q)) == list(map(float.hex, q_all[first:]))
+        assert bits.tolist() == bits_all[first:].tolist()
+
+    def test_a_negative_first_block_is_refused(self):
+        carrier, params, _, _ = range_case(4, 24, 16, (8, 8), 0, 0)
+        with pytest.raises(ValueError, match=r"^first block must be non-negative, got -1$"):
+            detect_blocks(carrier, b"k", 1, params, -1)
+
+    @pytest.mark.parametrize("first, count", [(4, 3), (7, 0), (0, 7)])
+    def test_a_range_past_the_capacity_names_first_plus_count_blocks(self, first, count):
+        carrier, params, _, _ = range_case(5, 24, 16, (8, 8), 0, 0)  # 6 blocks of 8x8
+        with pytest.raises(CarrierTooSmallError, match=r"^message needs 7 blocks of 8x8, carrier has 6$"):
+            detect_blocks(carrier, b"k", count, params, first)
+
+
 # The numpy block kernel that pestego ran before its standard-library one,
 # kept here as a reference: q must equal it exactly and stego pixels must
 # match it byte for byte.  Blocks are rows of an (n_blocks, block_len)
