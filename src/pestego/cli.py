@@ -4,9 +4,8 @@ This is the only module that formats command output: each ``cmd_*`` returns
 its exit code and the lines it prints, and ``main`` writes them to stdout in
 one write once the command has returned, so a command that fails prints nothing.
 
-Exit codes are stable: 0 success, 1 check failed or operation refused,
-2 unusable input (parse/usage/IO), 3 InsufficientSlack, 4 SlackOccupied,
-5 NoPayload, 6 CorruptPayload, 7 CarrierTooSmall.
+Exit codes are stable: 0 success, 1 a failed ``verify`` check, 2 unusable input (parse/usage/IO),
+and a PeStegoError exits with its class's ``exit_code``, declared in errors.py.
 """
 
 from __future__ import annotations
@@ -16,22 +15,16 @@ import os
 import re
 import sys
 
-from .errors import (
-    CarrierTooSmallError,
-    CorruptPayloadError,
-    InsufficientSlackError,
-    NoPayloadError,
-    PeStegoError,
-    SlackOccupiedError,
-    UnsafeNameError,
-)
+import pestego
+
+from .errors import PeStegoError
 from .fileio import write_atomic
 from .integrity import compare
 from .payload import capacity, hide, retract, write_extracted_file
 from .pe_format import header_slack, parse_pe, section_slack, serialize
 
-# The stat-* commands import pgm and statstego inside the functions that need
-# them: compiling both at start-up would cost each PE command about 9 ms.
+# The PE names stay cli globals, which bench/tracing.py wraps; the stat-* commands load statstego through the
+# package and pgm where used, as both cost ~6 ms to import (-X importtime, median of 41 `python -B` runs, 2-CPU Xeon).
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,14 +74,12 @@ def _load_image(path: str, strict: bool):
 
 
 def _stat_params(args):
-    from . import statstego
-
     # ASCII decimal, fraction and exponent optional (any finite float's repr); '-0.5' and '1e400' reach the domain check
     if not re.fullmatch(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?", args.alpha):
         raise ValueError(f"--alpha expects a decimal number, got {args.alpha!r}")
     block_w, block_h = _parse_dims(args.block)
     k = _parse_int("--k", args.k)
-    return statstego.StatParams(block_rows=block_h, block_cols=block_w, k=k, alpha=float(args.alpha))
+    return pestego.StatParams(block_rows=block_h, block_cols=block_w, k=k, alpha=float(args.alpha))
 
 
 def _read_carrier(args):
@@ -192,14 +183,14 @@ def cmd_verify(args) -> tuple[int, list[str]]:
 
 
 def cmd_stat_embed(args) -> tuple[int, list[str]]:
-    from . import pgm, statstego
+    from . import pgm
 
     params = _stat_params(args)
     carrier = _read_carrier(args)
     with open(args.payload, "r", encoding="utf-8") as fh:
-        layout = statstego.MessageLayout.from_text(fh.read())
+        layout = pestego.MessageLayout.from_text(fh.read())
     key = _parse_key(args.key)
-    stego = statstego.embed_message(carrier, key, layout, params)
+    stego = pestego.embed_message(carrier, key, layout, params)
     (pgm.write_raw if args.raw else pgm.write_pgm)(args.outfile, stego)
     return EXIT_OK, [
         f"embedded {layout.block_count} bits into {params.block_cols}x{params.block_rows} blocks (k={params.k})",
@@ -209,22 +200,19 @@ def cmd_stat_embed(args) -> tuple[int, list[str]]:
 
 # Fewest blocks per share. Split in two, a --csv read of 4,096 blocks saved 0.7-2 ms of 17-34 ms
 # (break-even) and one of 8,192 saved 9-10 ms, with 8x8, 16x16 and 4x6 blocks (2-CPU Xeon, median of 15).
+# Tuned for --csv: a default read of 8,192 8x8 blocks took 0.023 s serial and 0.028 s split (in-process, median of 25).
 MIN_SHARE = 4096
 
 
 def _share_text(carrier, key: bytes, params, first: int, end: int, csv: bool) -> str:
     """Blocks first..end-1 as stdout: bit digits, or with csv one newline-led row each, numbered from first."""
-    from .statstego import detect_blocks
-
-    q, bits = detect_blocks(carrier, key, end - first, params, first)
+    q, bits = pestego.detect_blocks(carrier, key, end - first, params, first)
     if csv:
         return "".join([f"\n{i},{qi!r},{bit}" for i, qi, bit in zip(range(first, end), q, bits)])
     return bits.tobytes().translate(bytes.maketrans(b"\0\1", b"01")).decode()
 
 
 def cmd_stat_extract(args) -> tuple[int, list[str]]:
-    from . import statstego
-
     bits = _parse_int("--bits", args.bits)
     params = _stat_params(args)
     carrier = _read_carrier(args)
@@ -232,7 +220,7 @@ def cmd_stat_extract(args) -> tuple[int, list[str]]:
     params.z_alpha  # noqa: B018 -- imports statistics once, here, rather than in every worker
     # one equal run of blocks per usable CPU; a --bits that detect_blocks refuses gets one share
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
-    shares = max(1, min(cpus, bits // MIN_SHARE)) if bits <= statstego.block_capacity(carrier, params) else 1
+    shares = max(1, min(cpus, bits // MIN_SHARE)) if bits <= pestego.block_capacity(carrier, params) else 1
     cuts = [bits * i // shares for i in range(shares + 1)]
     pipes, pids = [], []
     try:
@@ -327,29 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# looked up along the error's class hierarchy, so the most specific class listed decides the code
-_EXIT_BY_ERROR = {
-    InsufficientSlackError: 3,
-    SlackOccupiedError: 4,
-    NoPayloadError: 5,
-    CorruptPayloadError: 6,
-    CarrierTooSmallError: 7,
-    UnsafeNameError: EXIT_CHECK_FAILED,
-    PeStegoError: EXIT_BAD_INPUT,  # parse failures, bad names, bad block sizes
-    ValueError: EXIT_BAD_INPUT,
-    OSError: EXIT_BAD_INPUT,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, lines = args.func(args)
         sys.stdout.write("\n".join(lines) + "\n")
         return code
-    except tuple(_EXIT_BY_ERROR) as exc:
+    except (PeStegoError, ValueError, OSError) as exc:
         print(f"pestego: error: {exc}", file=sys.stderr)
-        return next(_EXIT_BY_ERROR[cls] for cls in type(exc).__mro__ if cls in _EXIT_BY_ERROR)
+        return getattr(exc, "exit_code", EXIT_BAD_INPUT)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@
 
 
 class PeStegoError(Exception):
-    """Base class for all pestego-specific errors."""
+    """Base class for all pestego-specific errors; ``exit_code`` is the command line's exit status for one."""
+
+    exit_code = 2
 
 
 # --- PE parsing -----------------------------------------------------------
@@ -48,21 +50,31 @@ class NameTooLongError(PeStegoError):
 class InsufficientSlackError(PeStegoError):
     """Encoded payload record is larger than the header slack."""
 
+    exit_code = 3
+
 
 class SlackOccupiedError(PeStegoError):
     """Header slack holds non-zero bytes and force was not set."""
+
+    exit_code = 4
 
 
 class NoPayloadError(PeStegoError):
     """Header slack does not start with a payload record magic."""
 
+    exit_code = 5
+
 
 class CorruptPayloadError(PeStegoError):
     """Payload record is malformed or fails its CRC check."""
 
+    exit_code = 6
+
 
 class UnsafeNameError(PeStegoError):
     """Payload file name is not a plain file name."""
+
+    exit_code = 1
 
 
 # --- statistical embedding ------------------------------------------------
@@ -77,3 +89,5 @@ class BlockTooSmallError(PeStegoError):
 
 class CarrierTooSmallError(PeStegoError):
     """Carrier has fewer full blocks than message bits."""
+
+    exit_code = 7

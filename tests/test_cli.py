@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from pe_builder import SectionPlan, build_pe
 from oracles import byte_diff_offsets
 
-from pestego import Carrier
+from pestego import Carrier, PeStegoError, cli
 from pestego.cli import main
 from pestego.pgm import write_pgm
 
@@ -409,6 +409,20 @@ REFUSALS = [
     pytest.param(stat_extract("--key", "0xZZ"), 2, "bad hex key '0xZZ'", id="hex-key"),
     pytest.param(stat_extract("--block", "8"), 2, "expected WxH, got '8'", id="block-one-number"),
     pytest.param(stat_extract("--block", "0x8"), 2, "dimensions must be positive, got '0x8'", id="block-zero"),
+    # a refused block shape reads WxH, as --block does
+    pytest.param(stat_extract("--block", "3x5"), 2, "block of 3x5 has odd length", id="block-odd-length"),
+    pytest.param(
+        stat_extract("--block", "1x2"), 2, "block of 1x2 is too small: need at least 2 values per set", id="block-too-small"
+    ),
+    pytest.param(
+        stat_extract("--block", "8192x4096"), 2,
+        "block of 8192x4096 exceeds 16777216 pixels, past which an int64 implementation of the detection sums would overflow",
+        id="block-too-large",
+    ),
+    pytest.param(
+        stat_extract("--block", "4x6", "--bits", "161"), 7, "message needs 161 blocks of 4x6, carrier has 160",
+        id="block-over-capacity",
+    ),
     pytest.param(stat_extract(infile="short.pgm"), 2, "unexpected end of PGM header", id="pgm-header-end"),
     pytest.param(
         ("inspect", "--in", "mz10.exe"), 2, "file of 10 bytes is smaller than the 64-byte DOS header", id="dos-header-cut"
@@ -481,6 +495,39 @@ def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
 @pytest.mark.parametrize("argv, code, message", REFUSALS)
 def test_known_refusal(capsys, refusal_files, argv, code, message):
     assert run(capsys, *argv) == (code, "", f"pestego: error: {message}\n")
+
+
+def error_classes(cls=PeStegoError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+# the README's exit codes other than 2; every other PeStegoError, a new one included, exits 2
+EXIT_CODE_OF = {
+    "UnsafeNameError": 1,
+    "InsufficientSlackError": 3,
+    "SlackOccupiedError": 4,
+    "NoPayloadError": 5,
+    "CorruptPayloadError": 6,
+    "CarrierTooSmallError": 7,
+}
+
+
+def test_each_error_class_carries_its_exit_code():
+    declared = {cls.__name__: cls.exit_code for cls in error_classes()}
+    assert set(EXIT_CODE_OF) < set(declared)
+    assert declared == {name: EXIT_CODE_OF.get(name, 2) for name in declared}
+
+
+@pytest.mark.parametrize("error", [*error_classes(), ValueError, OSError], ids=lambda cls: cls.__name__)
+def test_main_exits_with_the_code_of_the_error_raised(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    code, out, err = run(capsys, "inspect", "--in", "cover.exe")
+    assert (code, out, err.startswith("pestego: error: ")) == (EXIT_CODE_OF.get(error.__name__, 2), "", True)
 
 
 def text(*lines: str) -> str:

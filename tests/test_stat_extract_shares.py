@@ -135,7 +135,7 @@ for flags in (("--bits", "-1"), ("--bits", "426"), ("--bits", "1", "--block", "3
 """
     assert run_python(code, tmp_path) == [
         "2 pestego: error: bit count must be non-negative, got -1",
-        "7 pestego: error: message needs 426 blocks of 2x4, carrier has 425",
+        "7 pestego: error: message needs 426 blocks of 4x2, carrier has 425",
         "2 pestego: error: block of 3x3 has odd length",
         "2 pestego: error: alpha 1e-17 is too small: 1 - alpha rounds to 1, so z_alpha is not finite",
     ]
