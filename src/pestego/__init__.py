@@ -1,6 +1,6 @@
 """pestego: hide files in 32-bit PE header slack; statistical bit embedding for raster carriers."""
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -57,9 +57,12 @@ __all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    # looked up on every use, never stored here, so it is always the module's current attribute
+    # looked up on every use, never stored here, so it is always the module's current attribute;
+    # __import__, unlike importlib.import_module, passes through the -X importtime log
     if name in _MODULE_OF:
-        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+        module = f"{__name__}.{_MODULE_OF[name]}"
+        __import__(module)
+        return getattr(sys.modules[module], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -34,7 +34,10 @@ EXIT_BAD_INPUT = 2
 def _parse_key(text: str) -> bytes:
     """'0x' and whole bytes of hex digits, or else the text's UTF-8 bytes."""
     if not text.startswith(("0x", "0X")):
-        return text.encode("utf-8")
+        try:
+            return text.encode("utf-8")
+        except UnicodeEncodeError:  # argv bytes that are not UTF-8 arrive as lone surrogates
+            raise ValueError("--key is not UTF-8 text; give a binary key as 0x and hex digits") from None
     if not re.fullmatch(r"0[xX](?:[0-9a-fA-F]{2})+", text):
         raise ValueError(f"bad hex key {text!r}")
     return bytes.fromhex(text[2:])
@@ -85,10 +88,7 @@ def _stat_params(args):
 def _read_carrier(args):
     from . import pgm
 
-    if args.raw:
-        w, h = _parse_dims(args.raw)
-        return pgm.read_raw(args.infile, w, h)
-    return pgm.read_pgm(args.infile)
+    return pgm.read_carrier(args.infile, _parse_dims(args.raw) if args.raw else None)
 
 
 def cmd_inspect(args) -> tuple[int, list[str]]:
@@ -187,11 +187,11 @@ def cmd_stat_embed(args) -> tuple[int, list[str]]:
 
     params = _stat_params(args)
     carrier = _read_carrier(args)
-    with open(args.payload, "r", encoding="utf-8") as fh:
+    with open(args.payload, "r", encoding="utf-8", errors="replace") as fh:  # U+FFFD is refused as a non-bit
         layout = pestego.MessageLayout.from_text(fh.read())
     key = _parse_key(args.key)
     stego = pestego.embed_message(carrier, key, layout, params)
-    (pgm.write_raw if args.raw else pgm.write_pgm)(args.outfile, stego)
+    pgm.write_carrier(args.outfile, stego, bool(args.raw))
     return EXIT_OK, [
         f"embedded {layout.block_count} bits into {params.block_cols}x{params.block_rows} blocks (k={params.k})",
         f"wrote {args.outfile}",

@@ -54,7 +54,10 @@ def safe_file_name(name: str, action: str = "write") -> str:
 
 def _encode_name(name: str) -> bytes:
     """UTF-8 bytes of a name that ``extract`` will be able to write back."""
-    encoded = name.encode("utf-8")
+    try:
+        encoded = name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise NameTooLongError(f"name {name!r} does not encode to UTF-8") from None
     if not encoded:
         raise NameTooLongError("name must encode to at least 1 byte")
     if len(encoded) > MAX_NAME_BYTES:

@@ -46,23 +46,13 @@ def encode_pgm(carrier: Carrier) -> bytes:
     return header + carrier.pixels
 
 
-def read_pgm(path: str) -> Carrier:
-    with open(path, "rb") as fh:
-        return decode_pgm(fh.read())
-
-
-def write_pgm(path: str, carrier: Carrier) -> None:
-    write_atomic(path, encode_pgm(carrier))
-
-
-def read_raw(path: str, width: int, height: int) -> Carrier:
-    """Headerless byte grid; dimensions must be given explicitly."""
+def read_carrier(path: str, shape: tuple[int, int] | None = None) -> Carrier:
+    """A PGM file, or with shape = (width, height) a headerless byte grid of that shape."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) != width * height:
-        raise ValueError(f"raw grid of {len(data)} bytes does not match {width}x{height}")
-    return Carrier(width=width, height=height, pixels=data)
+    return decode_pgm(data) if shape is None else Carrier(*shape, data)
 
 
-def write_raw(path: str, carrier: Carrier) -> None:
-    write_atomic(path, carrier.pixels)
+def write_carrier(path: str, carrier: Carrier, raw: bool) -> None:
+    """The carrier's bare pixels if raw is set, or else the carrier as a PGM."""
+    write_atomic(path, carrier.pixels if raw else encode_pgm(carrier))

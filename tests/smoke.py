@@ -9,7 +9,9 @@ The PE cover comes from ``pe_builder``.  The raster carriers are
 constant-gray PGMs carrying bits in 8x8 blocks: 16,384 in a 1024x1024 one,
 and 8,192 side by side in the one block row of a 65536x8 one.  Every block
 reads q = 0 (bit 0) or q = +inf (bit 1), so the round trip is exact, and a
-read that long is split across CPUs where more than one is usable.
+read that long is split across CPUs where more than one is usable.  Each
+round trip runs again on the headerless ``--raw`` grid of the same pixels,
+which must come out as the marked PGM's raster.
 pytest does not collect this file; it exits non-zero on the first mismatch.
 """
 
@@ -47,14 +49,23 @@ def check(ok: bool, what: str) -> None:
 
 
 def stat_round_trip(work: Path, width: int, height: int, rng: random.Random) -> tuple[Path, str]:
-    """Mark every 8x8 block of a constant-gray carrier with a random bit and check that stat-extract reads them all."""
+    """Mark every 8x8 block of a constant-gray carrier with a random bit, as a PGM and as a --raw grid,
+    and check that stat-extract reads them all."""
     carrier, marked, bits = work / f"gray{width}.pgm", work / f"marked{width}.pgm", work / "bits.txt"
-    carrier.write_bytes(b"P5\n%d %d\n255\n" % (width, height) + bytes([GRAY]) * (width * height))
+    header = b"P5\n%d %d\n255\n" % (width, height)
+    carrier.write_bytes(header + bytes([GRAY]) * (width * height))
     message = "".join(rng.choice("01") for _ in range((width // 8) * (height // 8)))
     bits.write_text(message)
     pestego("stat-embed", "--in", carrier, "--key", "smoke", "--payload", bits, "--out", marked)
     read = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message))
     check(read == f"bits: {message}\n", f"stat-extract reads back every bit embedded in {width}x{height}")
+
+    grid, marked_grid, raw = work / f"gray{width}.bin", work / f"marked{width}.bin", ("--raw", f"{width}x{height}")
+    grid.write_bytes(bytes([GRAY]) * (width * height))
+    pestego("stat-embed", "--in", grid, *raw, "--key", "smoke", "--payload", bits, "--out", marked_grid)
+    check(header + marked_grid.read_bytes() == marked.read_bytes(), "stat-embed --raw writes the PGM's raster")
+    read = pestego("stat-extract", "--in", marked_grid, *raw, "--key", "smoke", "--bits", len(message))
+    check(read == f"bits: {message}\n", f"stat-extract --raw reads back every bit embedded in {width}x{height}")
     return marked, message
 
 

@@ -180,10 +180,10 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     embed_same = outs[0] == outs[1]
 
     rng = np.random.default_rng(33009)
-    from pestego.pgm import write_pgm
+    from pestego.pgm import write_carrier
 
     carrier_path = tmp_path / "carrier.pgm"
-    write_pgm(str(carrier_path), Carrier(64, 64, rng.integers(0, 16, size=4096, dtype=np.uint8).tobytes()))
+    write_carrier(str(carrier_path), Carrier(64, 64, rng.integers(0, 16, size=4096, dtype=np.uint8).tobytes()), False)
     bits = tmp_path / "bits.txt"
     bits.write_text("0110100110010110")
     pgm_outs = []

@@ -18,7 +18,7 @@ from oracles import byte_diff_offsets
 
 from pestego import Carrier, PeStegoError, cli
 from pestego.cli import main
-from pestego.pgm import write_pgm
+from pestego.pgm import write_carrier
 
 
 @pytest.fixture
@@ -40,7 +40,7 @@ def carrier_pgm(tmp_path):
     rng = np.random.default_rng(77)
     carrier = Carrier(64, 64, rng.integers(0, 16, size=64 * 64, dtype=np.uint8).tobytes())
     path = tmp_path / "carrier.pgm"
-    write_pgm(str(path), carrier)
+    write_carrier(str(path), carrier, False)
     return path
 
 
@@ -303,7 +303,8 @@ def stat_files(tmp_path_factory):
     """A 64x64 PGM carrier and a one-bit message, shared by the examples of a property."""
     folder = tmp_path_factory.mktemp("stat")
     rng = np.random.default_rng(78)
-    write_pgm(str(folder / "carrier.pgm"), Carrier(64, 64, rng.integers(0, 16, size=64 * 64, dtype=np.uint8).tobytes()))
+    carrier = Carrier(64, 64, rng.integers(0, 16, size=64 * 64, dtype=np.uint8).tobytes())
+    write_carrier(str(folder / "carrier.pgm"), carrier, False)
     (folder / "bits.txt").write_text("1")
     return folder
 
@@ -465,6 +466,36 @@ REFUSALS = [
         ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "bits.txt", "--alpha", "0_0.05", "--out", "out.pgm"),
         2, "--alpha expects a decimal number, got '0_0.05'", id="alpha-underscore-embed",
     ),
+    # a --raw grid's size is checked where its Carrier is built
+    pytest.param(
+        stat_extract("--raw", "320x201", infile="grid.bin"), 2, "carrier of 320x201 needs 64320 pixels, got 64000",
+        id="raw-size",
+    ),
+    pytest.param(
+        ("stat-embed", "--in", "grid.bin", "--raw", "320x201", "--key", "k", "--payload", "bits.txt", "--out", "out.bin"),
+        2, "carrier of 320x201 needs 64320 pixels, got 64000", id="raw-size-embed",
+    ),
+    # text that is not UTF-8: argv and file names carry such bytes as lone surrogates
+    pytest.param(
+        stat_extract("--key", "\udcff"), 2, "--key is not UTF-8 text; give a binary key as 0x and hex digits",
+        id="key-not-utf8",
+    ),
+    pytest.param(
+        ("capacity", "--in", "cover.exe", "--name", "\udcff"), 2, "name '\\udcff' does not encode to UTF-8",
+        id="name-not-utf8-capacity",
+    ),
+    pytest.param(
+        ("embed", "--in", "cover.exe", "--payload", "bits.txt", "--name", "\udcff", "--out", "stego.exe"), 2,
+        "name '\\udcff' does not encode to UTF-8", id="name-not-utf8-embed",
+    ),
+    pytest.param(
+        ("embed", "--in", "cover.exe", "--payload", "caf\udce9.txt", "--out", "stego.exe"), 2,
+        "name 'caf\\udce9.txt' does not encode to UTF-8", id="payload-file-name-latin-1",
+    ),
+    pytest.param(
+        ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "latin-1.txt", "--out", "out.pgm"), 2,
+        "message text may only contain 0, 1 and whitespace", id="message-not-utf8",
+    ),
 ]
 
 
@@ -482,6 +513,10 @@ def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
     files = {
         "short.pgm": b"P5 2",
         "bits.txt": b"1",
+        "grid.bin": bytes(64000),
+        "latin-1.txt": b"1\xe90",  # "1é0" in Latin-1
+        "caf\udce9.txt": b"secret",  # the file name b"caf\xe9.txt"
+        "cover.exe": data,
         "mz10.exe": b"MZ" + bytes(8),
         "coff-cut.exe": data[: coff + 10],
         "opt60.exe": bytes(opt60),

@@ -6,6 +6,12 @@ already imported numpy through other tests.
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fresh_interpreter import run_python
@@ -100,6 +106,15 @@ assert Carrier is pestego.statstego.Carrier and detect_blocks is pestego.statste
     lines = run_python(code + NUMPY_LOADED, tmp_path)
     assert lines[0].startswith("bits: ")
     assert lines[-1] == "False"
+
+
+def test_importtime_logs_modules_loaded_through_the_package(cli_files):
+    """-X importtime logs statstego, which stat-extract first loads through the package's export table."""
+    argv = ["-X", "importtime", "-m", "pestego.cli", "stat-extract", "--in", "carrier.pgm", "--key", "k", "--bits", "8"]
+    env = {**os.environ, "PYTHONPATH": str(Path(pestego.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cli_files, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"\| +pestego\.statstego$", proc.stderr, re.MULTILINE), proc.stderr
 
 
 def test_stat_commands_run_without_numpy(cli_files):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import decode_pgm_header_scan
 
 from pestego import Carrier
-from pestego.pgm import decode_pgm, encode_pgm, read_pgm, read_raw, write_pgm, write_raw
+from pestego.pgm import decode_pgm, encode_pgm, read_carrier, write_carrier
 
 
 @given(st.data())
@@ -90,14 +90,14 @@ def test_header_matches_the_byte_scanner(pieces, raster):
 def test_file_roundtrip(tmp_path):
     carrier = Carrier(5, 4, bytes(range(20)))
     path = str(tmp_path / "c.pgm")
-    write_pgm(path, carrier)
-    assert read_pgm(path) == carrier
+    write_carrier(path, carrier, False)
+    assert read_carrier(path) == carrier
 
 
 def test_raw_roundtrip(tmp_path):
     carrier = Carrier(6, 3, bytes(range(18)))
     path = str(tmp_path / "c.raw")
-    write_raw(path, carrier)
-    assert read_raw(path, 6, 3) == carrier
+    write_carrier(path, carrier, True)
+    assert read_carrier(path, (6, 3)) == carrier
     with pytest.raises(ValueError):
-        read_raw(path, 6, 4)
+        read_carrier(path, (6, 4))

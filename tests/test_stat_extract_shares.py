@@ -76,7 +76,7 @@ def test_pinned_output_of_a_split_read(tmp_path):
 from pestego import pgm, statstego
 write_carrier("large.pgm", 512, 256)
 params = statstego.StatParams(block_rows=2, block_cols=4, alpha=0.05)
-digits = "".join(map(str, statstego.detect_blocks(pgm.read_pgm("large.pgm"), b"k", 16384, params)[1]))
+digits = "".join(map(str, statstego.detect_blocks(pgm.read_carrier("large.pgm"), b"k", 16384, params)[1]))
 code, out, err = extract(2, "--in", "large.pgm", "--bits", "16384", "--alpha", "0.05")
 assert code == 0 and not err, err
 assert out == "bits: " + digits + "\\n"
