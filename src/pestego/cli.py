@@ -17,14 +17,11 @@ import sys
 
 import pestego
 
-from .errors import PeStegoError
 from .fileio import write_atomic
-from .integrity import compare
-from .payload import capacity, hide, retract, write_extracted_file
-from .pe_format import header_slack, parse_pe, section_slack, serialize
+from .pe_format import parse_pe
 
-# The PE names stay cli globals, which bench/tracing.py wraps; the stat-* commands load statstego through the
-# package and pgm where used, as both cost ~6 ms to import (-X importtime, median of 41 `python -B` runs, 2-CPU Xeon).
+# Commands reach the library through the package, so each imports only the modules it calls (statstego ~5 ms,
+# payload and integrity ~2 ms each: -X importtime, `python -B`, 2-CPU Xeon); bench/ pins the global cli.parse_pe.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,13 +100,13 @@ def cmd_inspect(args) -> tuple[int, list[str]]:
         f"size of headers:    0x{nt.size_of_headers:X}",
         f"checksum:           0x{nt.checksum:08X}",
         f"header table end:   0x{image.header_end_offset:X}",
-        f"header slack:       {_span(header_slack(image))}",
-        f"capacity:           {capacity(image, 'x').usable} payload bytes (1-byte name)",
+        f"header slack:       {_span(pestego.header_slack(image))}",
+        f"capacity:           {pestego.capacity(image, 'x').usable} payload bytes (1-byte name)",
         "sections:",
         "  name      vaddr       vsize       rawptr      rawsize     slack",
     ]
     for i, sec in enumerate(image.sections):
-        s = section_slack(image, i)
+        s = pestego.section_slack(image, i)
         tail = f"{s.length} bytes @ 0x{s.offset:X}" if s.length else "-"
         lines.append(
             f"  {sec.display_name():<8}  0x{sec.virtual_address:08X}  0x{sec.virtual_size:08X}"
@@ -124,7 +121,7 @@ def cmd_inspect(args) -> tuple[int, list[str]]:
 def cmd_capacity(args) -> tuple[int, list[str]]:
     image = _load_image(args.infile, args.strict)
     name = args.name if args.name is not None else "x"
-    report = capacity(image, name)
+    report = pestego.capacity(image, name)
     return EXIT_OK, [
         f'name:           "{name}" ({len(name.encode("utf-8"))} bytes)',
         f"slack region:   {_span(report.region)}",
@@ -137,9 +134,9 @@ def cmd_embed(args) -> tuple[int, list[str]]:
     image = _load_image(args.infile, args.strict)
     data = _read_file(args.payload)
     name = args.name if args.name is not None else os.path.basename(args.payload)
-    stego = hide(image, name, data, force=args.force)
-    write_atomic(args.outfile, serialize(stego))
-    report = capacity(image, name)
+    stego = pestego.hide(image, name, data, force=args.force)
+    write_atomic(args.outfile, pestego.serialize(stego))
+    report = pestego.capacity(image, name)
     record_len = report.overhead + len(data)
     return EXIT_OK, [
         f'hid "{name}" ({len(data)} data bytes, {record_len} record bytes) at 0x{report.region.offset:X}',
@@ -150,13 +147,13 @@ def cmd_embed(args) -> tuple[int, list[str]]:
 
 def cmd_extract(args) -> tuple[int, list[str]]:
     image = _load_image(args.infile, args.strict)
-    name, data = retract(image)
-    path = write_extracted_file(name, data, args.outdir)
+    name, data = pestego.retract(image)
+    path = pestego.write_extracted_file(name, data, args.outdir)
     return EXIT_OK, [f'recovered "{name}" ({len(data)} bytes)', f"wrote {path}"]
 
 
 def cmd_verify(args) -> tuple[int, list[str]]:
-    report = compare(_read_file(args.before), _read_file(args.after))
+    report = pestego.compare(_read_file(args.before), _read_file(args.after))
     regions, notes = report.diff_regions, report.notes
     lines = [
         f"headers identical:        {'yes' if report.identical_headers else 'NO'}",
@@ -319,9 +316,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, lines = args.func(args)
-        sys.stdout.write("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+        if hasattr(sys.stdout, "buffer"):  # so that a path that is not UTF-8 prints as its own bytes
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode(sys.stdout.encoding, "surrogateescape"))
+        else:
+            sys.stdout.write(text)
         return code
-    except (PeStegoError, ValueError, OSError) as exc:
+    except (pestego.PeStegoError, ValueError, OSError) as exc:
         print(f"pestego: error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_BAD_INPUT)
 

@@ -11,7 +11,10 @@ and 8,192 side by side in the one block row of a 65536x8 one.  Every block
 reads q = 0 (bit 0) or q = +inf (bit 1), so the round trip is exact, and a
 read that long is split across CPUs where more than one is usable.  Each
 round trip runs again on the headerless ``--raw`` grid of the same pixels,
-which must come out as the marked PGM's raster.
+which must come out as the marked PGM's raster.  An ``embed`` and a
+``stat-embed`` whose ``--out`` name is not UTF-8 run with
+``PYTHONIOENCODING=utf-8``, a strict UTF-8 stdout: each must succeed and
+print the name's own bytes in its ``wrote`` line.
 pytest does not collect this file; it exits non-zero on the first mismatch.
 """
 
@@ -46,6 +49,19 @@ def pestego(*argv, expect: int = 0) -> str:
 def check(ok: bool, what: str) -> None:
     if not ok:
         sys.exit(f"smoke check failed: {what}")
+
+
+def wrote_name_not_utf8(*argv, out: bytes) -> None:
+    """Under a strict UTF-8 stdout, a command whose --out is not UTF-8 writes it and prints its bytes."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pestego.cli", *map(os.fsencode, argv), "--out", out],
+        capture_output=True,
+        env=dict(ENV, PYTHONIOENCODING="utf-8"),
+    )
+    what = f"pestego {argv[0]} --out {out!r}"
+    check(proc.returncode == 0 and not proc.stderr, f"{what}: exit {proc.returncode}\n{proc.stderr!r}")
+    check(os.path.isfile(out), f"{what} writes its output")
+    check(proc.stdout.splitlines()[-1] == b"wrote " + out, f"{what} prints the name's own bytes")
 
 
 def stat_round_trip(work: Path, width: int, height: int, rng: random.Random) -> tuple[Path, str]:
@@ -83,6 +99,7 @@ def main() -> None:
         pestego("extract", "--in", stego, "--out", out)
         check((out / "secret.bin").read_bytes() == secret.read_bytes(), "extract recovers the embedded bytes")
         pestego("verify", cover, stego)
+        wrote_name_not_utf8("embed", "--in", cover, "--payload", secret, out=os.fsencode(work) + b"/\xff.exe")
         pestego("embed", "--in", stego, "--payload", secret, "--out", work / "again.exe", expect=4)
         pestego("extract", "--in", cover, "--out", out, expect=5)
         cut, flipped = work / "cut.exe", work / "flipped.exe"
@@ -95,6 +112,8 @@ def main() -> None:
 
         rng = random.Random(16)
         marked, message = stat_round_trip(work, 1024, 1024, rng)
+        stat_flags = ("--in", marked, "--key", "smoke", "--payload", work / "bits.txt")
+        wrote_name_not_utf8("stat-embed", *stat_flags, out=os.fsencode(work) + b"/\xff.pgm")
         strict = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message), "--alpha", "1e-3")
         check(strict == f"bits: {message}\n", "a stricter --alpha reads the same bits, since every q is 0 or +inf")
         pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", 1, "--alpha", "0_0.05", expect=2)

@@ -387,6 +387,32 @@ def test_failed_write_leaves_outputs_untouched(monkeypatch, capsys, tmp_path, co
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {"secret.bin": b"old"}
 
 
+@pytest.mark.parametrize("command", ["stat-embed", "embed", "extract", "verify"])
+def test_wrote_line_prints_a_path_that_is_not_utf8_as_its_bytes(
+    monkeypatch, tmp_path, cover, payload_file, carrier_pgm, command
+):
+    """A strict UTF-8 stdout, as under a UTF-8 locale, gets the path's own bytes once the output is written."""
+    monkeypatch.chdir(tmp_path)
+    stego = tmp_path / "stego.exe"
+    assert quiet_main("embed", "--in", cover, "--payload", payload_file, "--out", stego) == 0
+    bits = tmp_path / "bits.txt"
+    bits.write_text("1010")
+    os.mkdir(b"\xff")  # the directory extract writes into
+    argv, path = {
+        "stat-embed": (("stat-embed", "--in", carrier_pgm, "--key", "k", "--payload", bits, "--out"), b"\xff.pgm"),
+        "embed": (("embed", "--in", cover, "--payload", payload_file, "--out"), b"\xff.exe"),
+        "extract": (("extract", "--in", stego, "--out"), b"\xff"),
+        "verify": (("verify", cover, stego, "--out"), b"\xff.txt"),
+    }[command]
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([*map(str, argv), os.fsdecode(path)]) == 0
+    stdout.flush()
+    wrote = os.path.join(path, b"secret.bin") if command == "extract" else path
+    assert stdout.buffer.getvalue().splitlines()[-1] == b"wrote " + wrote
+    assert os.path.isfile(wrote)
+
+
 @pytest.mark.parametrize(
     "target, message",
     [("nodir/s.exe", "[Errno 2] No such file or directory"), ("isdir.exe", "[Errno 21] Is a directory")],

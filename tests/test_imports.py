@@ -94,6 +94,36 @@ def test_pe_side_leaves_statstego_unloaded(cli_files, code):
     assert run_python(code + "\nprint('pestego.statstego' in sys.modules)", cli_files)[-1] == "False"
 
 
+# the pestego modules each command loads, besides pestego itself
+PE_LIBRARY = ["cli", "errors", "fileio", "payload", "pe_format"]
+VERIFY_LIBRARY = ["cli", "errors", "fileio", "integrity", "pe_format"]
+STAT_LIBRARY = ["cli", "errors", "fileio", "pe_format", "pgm", "statstego"]
+STAT_ARGS = ["--in", "carrier.pgm", "--key", "k", "--block", "4x2"]
+COMMAND_MODULES = [
+    (["inspect", "--in", "cover.exe"], PE_LIBRARY),
+    (["capacity", "--in", "cover.exe", "--name", "secret.bin"], PE_LIBRARY),
+    (["embed", "--in", "cover.exe", "--payload", "secret.bin", "--out", "new.exe"], PE_LIBRARY),
+    (["extract", "--in", "stego.exe", "--out", "out"], PE_LIBRARY),
+    (["verify", "cover.exe", "stego.exe", "--out", "report.txt"], VERIFY_LIBRARY),
+    (["stat-embed", *STAT_ARGS, "--payload", "message.txt", "--out", "stego.pgm"], STAT_LIBRARY),
+    (["stat-extract", *STAT_ARGS, "--bits", "8"], STAT_LIBRARY),
+]
+
+
+@pytest.mark.parametrize(("argv", "loaded"), COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_calls(cli_files, argv, loaded):
+    """cli reaches the library through the package, so a command imports no pestego module that it does not call."""
+    cover = pestego.parse_pe((cli_files / "cover.exe").read_bytes())
+    (cli_files / "stego.exe").write_bytes(pestego.serialize(pestego.hide(cover, "secret.bin", bytes(range(50)))))
+    code = f"""
+before = set(sys.modules)
+from pestego.cli import main
+assert main({argv!r}) == 0
+print(sorted(m.partition(".")[2] for m in set(sys.modules) - before if m.startswith("pestego.")))
+"""
+    assert run_python(code, cli_files)[-1] == str(loaded)
+
+
 def test_stat_side_loads_on_first_use(tmp_path):
     (tmp_path / "carrier.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
     code = """
