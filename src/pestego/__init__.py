@@ -39,6 +39,7 @@ _EXPORTS = {
         "section_slack",
         "serialize",
     ),
+    "pgm": ("read_carrier", "write_carrier"),
     "statstego": (
         "Carrier",
         "KeyPattern",

@@ -83,9 +83,7 @@ def _stat_params(args):
 
 
 def _read_carrier(args):
-    from . import pgm
-
-    return pgm.read_carrier(args.infile, _parse_dims(args.raw) if args.raw else None)
+    return pestego.read_carrier(args.infile, _parse_dims(args.raw) if args.raw else None)
 
 
 def cmd_inspect(args) -> tuple[int, list[str]]:
@@ -180,15 +178,13 @@ def cmd_verify(args) -> tuple[int, list[str]]:
 
 
 def cmd_stat_embed(args) -> tuple[int, list[str]]:
-    from . import pgm
-
     params = _stat_params(args)
     carrier = _read_carrier(args)
     with open(args.payload, "r", encoding="utf-8", errors="replace") as fh:  # U+FFFD is refused as a non-bit
         layout = pestego.MessageLayout.from_text(fh.read())
     key = _parse_key(args.key)
     stego = pestego.embed_message(carrier, key, layout, params)
-    pgm.write_carrier(args.outfile, stego, bool(args.raw))
+    pestego.write_carrier(args.outfile, stego, bool(args.raw))
     return EXIT_OK, [
         f"embedded {layout.block_count} bits into {params.block_cols}x{params.block_rows} blocks (k={params.k})",
         f"wrote {args.outfile}",

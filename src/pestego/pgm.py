@@ -5,39 +5,37 @@ from __future__ import annotations
 import re
 
 from .fileio import write_atomic
-from .statstego import Carrier
+from .statstego import Carrier, _pixel_count
 
 
-# whitespace and '#' comments, then one header token: empty only at the end of the data
-_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n?)*(\S*)")
+# the magic, then three tokens, each after whitespace and '#' comments: a token is empty only at the end of the data
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n?)*(\S*)" * 3)
 
 
 def decode_pgm(data: bytes) -> Carrier:
-    if data[:2] != b"P5":
+    match = _HEADER.match(data)
+    if match is None:
         raise ValueError("not a binary PGM (missing P5 magic)")
-    pos = 2
     fields = []
-    for _ in range(3):
-        match = _HEADER_TOKEN.match(data, pos)
-        token, pos = match[1], match.end()
+    for token in match.groups():
         if not token:
             raise ValueError("unexpected end of PGM header")
         try:
-            number = int(token)  # refuses more digits than sys.get_int_max_str_digits()
+            if not token.isdigit():  # ASCII decimal only: int() also takes a sign and '_' separators
+                raise ValueError
+            fields.append(int(token))  # refuses more digits than sys.get_int_max_str_digits()
         except ValueError:
-            number = None
-        if number is None or not token.isdigit():  # ASCII decimal only: int() also takes a sign and '_' separators
-            raise ValueError(f"bad PGM header token {token!r}")
-        fields.append(number)
+            shown = repr(token) if len(token) <= 32 else f"{token[:32]!r} (first 32 of {len(token)} bytes)"
+            raise ValueError(f"bad PGM header token {shown}") from None
     width, height, maxval = fields
     if maxval != 255:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")
-    pos += 1  # exactly one whitespace byte separates the header from the raster
-    raster = data[pos:]
-    if len(raster) < width * height:
-        raise ValueError(f"PGM raster holds {len(raster)} bytes, header promises {width * height}")
-    if len(raster) > width * height:
-        raise ValueError(f"{len(raster) - width * height} trailing bytes after PGM raster")
+    pixels = _pixel_count(width, height)
+    raster = data[match.end() + 1 :]  # exactly one whitespace byte separates the header from the raster
+    if len(raster) < pixels:
+        raise ValueError(f"PGM raster holds {len(raster)} bytes, header promises {pixels}")
+    if len(raster) > pixels:
+        raise ValueError(f"{len(raster) - pixels} trailing bytes after PGM raster")
     return Carrier(width=width, height=height, pixels=bytes(raster))
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import sys
 from array import array
 from collections import namedtuple
 
@@ -100,6 +101,13 @@ def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
     return KeyPattern(bytes(bits))
 
 
+def _pixel_count(width: int, height: int) -> int:
+    """width * height, refused before any text formats it if no bytes object can hold that many pixels."""
+    if width * height > sys.maxsize:
+        raise ValueError(f"carrier dimensions multiply to more than {sys.maxsize} pixels")
+    return width * height
+
+
 class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
     """Rectangular 8-bit carrier, pixels row-major."""
 
@@ -108,7 +116,7 @@ class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
     def _check(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"carrier dimensions must be positive, got {self.width}x{self.height}")
-        if len(self.pixels) != self.width * self.height:
+        if len(self.pixels) != _pixel_count(self.width, self.height):
             raise ValueError(
                 f"carrier of {self.width}x{self.height} needs {self.width * self.height} pixels, got {len(self.pixels)}"
             )

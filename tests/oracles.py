@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 
 
 def crc32_bitwise(data: bytes) -> int:
@@ -116,10 +117,14 @@ def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
                 raise ValueError
             fields.append(int(token))
         except ValueError:
-            raise ValueError(f"bad PGM header token {token!r}") from None
+            # a long token is quoted by its first 32 bytes and its length
+            shown = repr(token) if len(token) <= 32 else f"{token[:32]!r} (first 32 of {len(token)} bytes)"
+            raise ValueError(f"bad PGM header token {shown}") from None
     width, height, maxval = fields
     if maxval != 255:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")
+    if width * height > sys.maxsize:  # no bytes object holds that raster
+        raise ValueError(f"carrier dimensions multiply to more than {sys.maxsize} pixels")
     raster = data[pos + 1 :]
     if len(raster) < width * height:
         raise ValueError(f"PGM raster holds {len(raster)} bytes, header promises {width * height}")

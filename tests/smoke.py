@@ -14,7 +14,9 @@ round trip runs again on the headerless ``--raw`` grid of the same pixels,
 which must come out as the marked PGM's raster.  An ``embed`` and a
 ``stat-embed`` whose ``--out`` name is not UTF-8 run with
 ``PYTHONIOENCODING=utf-8``, a strict UTF-8 stdout: each must succeed and
-print the name's own bytes in its ``wrote`` line.
+print the name's own bytes in its ``wrote`` line.  A 1 MiB PGM whose
+header lacks the byte after ``255`` is refused with exit 2, one stderr line
+under 1 KB, and nothing on stdout.
 pytest does not collect this file; it exits non-zero on the first mismatch.
 """
 
@@ -62,6 +64,15 @@ def wrote_name_not_utf8(*argv, out: bytes) -> None:
     check(proc.returncode == 0 and not proc.stderr, f"{what}: exit {proc.returncode}\n{proc.stderr!r}")
     check(os.path.isfile(out), f"{what} writes its output")
     check(proc.stdout.splitlines()[-1] == b"wrote " + out, f"{what} prints the name's own bytes")
+
+
+def refused_in_one_short_line(*argv) -> None:
+    """A refused command exits 2, prints nothing to stdout, and one line of less than 1 KB to stderr."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "pestego.cli", *map(str, argv)], capture_output=True, env=ENV)
+    what = f"pestego {' '.join(map(str, argv))}"
+    check(proc.returncode == 2 and not proc.stdout, f"{what}: exit {proc.returncode}, stdout {proc.stdout[:80]!r}")
+    check(proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n"), f"{what}: stderr {proc.stderr[:200]!r}")
+    check(len(proc.stderr) < 1024, f"{what}: a stderr line of {len(proc.stderr)} bytes")
 
 
 def stat_round_trip(work: Path, width: int, height: int, rng: random.Random) -> tuple[Path, str]:
@@ -120,6 +131,9 @@ def main() -> None:
         pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", 1, "--block", "+8x8", expect=2)
         pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", "1_6", expect=2)
         stat_round_trip(work, 65536, 8, rng)  # one block row, which a 2-CPU read also splits
+        no_separator = work / "no-separator.pgm"
+        no_separator.write_bytes(b"P5\n1024 1024\n255" + bytes(1024 * 1024))  # the last token runs on through the raster
+        refused_in_one_short_line("stat-extract", "--in", no_separator, "--key", "smoke", "--bits", 1)
     print("smoke: every command ran as expected")
 
 

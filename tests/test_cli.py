@@ -431,6 +431,7 @@ def stat_extract(*flags: str, infile: str = "carrier.pgm") -> tuple[str, ...]:
     return ("stat-extract", "--in", infile, "--key", "k", "--bits", "1", *flags)  # a repeated flag's last value wins
 
 
+TOO_MANY_PIXELS = f"carrier dimensions multiply to more than {sys.maxsize} pixels"
 # (argv, exit code, the whole of stderr), each run in a directory that refusal_files fills
 REFUSALS = [
     pytest.param(stat_extract("--key", "0xZZ"), 2, "bad hex key '0xZZ'", id="hex-key"),
@@ -451,6 +452,17 @@ REFUSALS = [
         id="block-over-capacity",
     ),
     pytest.param(stat_extract(infile="short.pgm"), 2, "unexpected end of PGM header", id="pgm-header-end"),
+    # a refusal quotes at most 32 bytes of a header token: here the last one runs on through the raster
+    pytest.param(
+        stat_extract(infile="no-separator.pgm"), 2,
+        f"bad PGM header token {b'255' + bytes(29)!r} (first 32 of 4099 bytes)", id="pgm-separator-missing",
+    ),
+    # a shape whose pixel count no bytes object can hold is refused before any text formats that count
+    pytest.param(stat_extract(infile="nines.pgm"), 2, TOO_MANY_PIXELS, id="pgm-too-many-pixels"),
+    pytest.param(
+        stat_extract("--raw", "9" * 2200 + "x" + "9" * 2200, infile="grid.bin"), 2, TOO_MANY_PIXELS,
+        id="raw-too-many-pixels",
+    ),
     pytest.param(
         ("inspect", "--in", "mz10.exe"), 2, "file of 10 bytes is smaller than the 64-byte DOS header", id="dos-header-cut"
     ),
@@ -538,6 +550,8 @@ def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
     }
     files = {
         "short.pgm": b"P5 2",
+        "no-separator.pgm": b"P5\n64 64\n255" + bytes(64 * 64),
+        "nines.pgm": b"P5 %s %s 255\n" % (b"9" * 4300, b"9" * 4300),
         "bits.txt": b"1",
         "grid.bin": bytes(64000),
         "latin-1.txt": b"1\xe90",  # "1é0" in Latin-1

@@ -199,8 +199,12 @@ def test_dir_lists_every_export():
         ("import pestego", []),
         ("from pestego import parse_pe", ["pestego.errors", "pestego.pe_format"]),
         ("from pestego import detect_blocks", ["pestego.errors", "pestego.statstego"]),
+        (
+            "from pestego import read_carrier, write_carrier",
+            ["pestego.errors", "pestego.fileio", "pestego.pgm", "pestego.statstego"],
+        ),
     ],
-    ids=["bare-import", "pe-name", "stat-name"],
+    ids=["bare-import", "pe-name", "stat-name", "carrier-io-name"],
 )
 def test_first_use_loads_only_its_module(tmp_path, code, loaded):
     """A name loads the module that defines it and that module's imports, nothing else of pestego."""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -82,9 +84,51 @@ HEADER_PIECES = st.one_of(
 @example([b" 2 3 255"], b"")
 @example([b" 2 +3 255\n"], bytes(6))
 @example([b" ", b"1" * 4301, b" 1 255\n"], b"")  # more digits than int() converts by default
+@example([b"16 16 255\n"], bytes(256))  # a digit straight after the magic
+@example([b"#c\n2 3 255\n"], bytes(6))  # a comment straight after the magic
+@example([b" 2 3 255\r"], bytes(6))  # '\r' separates the header from the raster
+@example([b" 2 3 #c"], b"")  # a comment with no newline at the end of the data
+@example([b" 2 3 255"], bytes(40))  # a token longer than the 32 bytes its refusal quotes
+@example([b" ", b"9" * 20, b" ", b"9" * 20, b" 255\n"], b"")  # more pixels than a bytes object holds
 def test_header_matches_the_byte_scanner(pieces, raster):
     data = b"P5" + b"".join(pieces) + raster
     assert outcome(decode_pgm, data) == outcome(decode_pgm_header_scan, data)
+
+
+@pytest.mark.parametrize(
+    ("data", "quoted"),
+    [
+        # the separator after 255 is missing, so the last token runs on through the raster
+        (b"P5\n2048 2048\n255" + bytes(2048 * 2048), f"{b'255' + bytes(29)!r} (first 32 of 4194307 bytes)"),
+        (b"P5 " + b"1" * 4301 + b" 1 255\n", f"{b'1' * 32!r} (first 32 of 4301 bytes)"),  # past int()'s digit limit
+    ],
+    ids=["separator-missing", "digit-limit"],
+)
+def test_long_token_is_quoted_by_its_first_32_bytes(data, quoted):
+    with pytest.raises(ValueError) as refusal:
+        decode_pgm(data)
+    assert str(refusal.value) == f"bad PGM header token {quoted}"
+
+
+TOO_MANY_PIXELS = f"carrier dimensions multiply to more than {sys.maxsize} pixels"
+
+
+@pytest.mark.parametrize("digits", [20, 4300], ids=["20-digits", "digit-limit"])
+def test_header_shape_past_any_bytes_is_refused(digits):
+    nines = b"9" * digits
+    with pytest.raises(ValueError) as refusal:
+        decode_pgm(b"P5 " + nines + b" " + nines + b" 255\n")
+    assert str(refusal.value) == TOO_MANY_PIXELS
+
+
+def test_carrier_shape_past_any_bytes_is_refused():
+    with pytest.raises(ValueError) as refusal:
+        Carrier(sys.maxsize, 1, b"")
+    assert str(refusal.value) == f"carrier of {sys.maxsize}x1 needs {sys.maxsize} pixels, got 0"
+    for width, height in [(sys.maxsize, 2), (10**2200, 10**2200)]:
+        with pytest.raises(ValueError) as refusal:
+            Carrier(width, height, b"")
+        assert str(refusal.value) == TOO_MANY_PIXELS
 
 
 def test_file_roundtrip(tmp_path):
