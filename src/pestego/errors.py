@@ -1,8 +1,13 @@
-# Exception hierarchy shared by all pestego modules.
+# Exception hierarchy shared by all pestego modules, and how a refusal shows an input value.
 #
 # Plain Python builtins are used where they are the natural contract:
 # OverflowError (32-bit address overflow), IndexError (bad section index),
 # OSError (file I/O failures).
+
+
+def _shown(value, show=repr, unit="bytes") -> str:
+    """show(value) for a refusal's text; a value longer than 32 items shows only its first 32, and its length."""
+    return show(value) if len(value) <= 32 else f"{show(value[:32])} (first 32 of {len(value)} {unit})"
 
 
 class PeStegoError(Exception):

@@ -10,17 +10,16 @@ for it.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .pe_format import SECTION_HEADER_SIZE, Region, header_slack, parse_pe
 
 
-class EquivalenceReport(NamedTuple):
-    identical_headers: bool
-    identical_section_table: bool
-    diff_regions: tuple[Region, ...]
-    diff_confined_to_slack: bool
-    notes: tuple[str, ...] = ()
+class EquivalenceReport(namedtuple("EquivalenceReport", "identical_headers identical_section_table diff_regions"
+                                   " diff_confined_to_slack notes", defaults=((),))):
+    """What compare found: diff_regions is a tuple of Region, notes a tuple of str."""
+
+    __slots__ = ()
 
 
 _CHUNK = 1 << 16

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     CorruptPayloadError,
@@ -29,7 +29,7 @@ from .errors import (
     UnsafeNameError,
 )
 from .fileio import write_atomic
-from .pe_format import PeImage, Region, header_slack, parse_pe
+from .pe_format import PeImage, header_slack, parse_pe
 
 MAGIC = b"SPE1"
 MAX_NAME_BYTES = 255
@@ -66,11 +66,10 @@ def _encode_name(name: str) -> bytes:
     return encoded
 
 
-class PayloadRecord(NamedTuple):
+class PayloadRecord(namedtuple("PayloadRecord", "name data")):
     """A named payload plus the framing needed to find it again."""
 
-    name: str
-    data: bytes
+    __slots__ = ()
 
     def encode(self) -> bytes:
         name_bytes = _encode_name(self.name)
@@ -109,12 +108,10 @@ class PayloadRecord(NamedTuple):
         return cls(name=name, data=bytes(data))
 
 
-class CapacityReport(NamedTuple):
-    """How much payload data fits in a file's header slack for one name."""
+class CapacityReport(namedtuple("CapacityReport", "region overhead usable")):
+    """How much payload data fits in a file's header slack (region, a Region) for one name."""
 
-    region: Region
-    overhead: int
-    usable: int
+    __slots__ = ()
 
 
 def capacity(image: PeImage, name: str) -> CapacityReport:

@@ -10,7 +10,7 @@ All multi-byte integers are little-endian per the on-disk format.
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     Not32BitError,
@@ -38,11 +38,10 @@ COFF_HEADER_SIZE = _COFF.size
 SECTION_HEADER_SIZE = _SECTION.size
 
 
-class Region(NamedTuple):
+class Region(namedtuple("Region", "offset length")):
     """Half-open byte span [offset, offset + length) within a file."""
 
-    offset: int
-    length: int
+    __slots__ = ()
 
     @property
     def end(self) -> int:
@@ -55,23 +54,17 @@ class Region(NamedTuple):
         return self.offset < other.end and other.offset < self.end
 
 
-class NtHeaders(NamedTuple):
-    machine: int
-    number_of_sections: int
-    size_of_optional_header: int
-    address_of_entry_point: int
-    image_base: int
-    file_alignment: int
-    size_of_headers: int
-    checksum: int
+class NtHeaders(namedtuple("NtHeaders", "machine number_of_sections size_of_optional_header address_of_entry_point"
+                           " image_base file_alignment size_of_headers checksum")):
+    """The COFF and optional-header fields that parse_pe decodes, as integers."""
+
+    __slots__ = ()
 
 
-class SectionHeader(NamedTuple):
-    name: bytes  # 8 raw bytes, kept verbatim
-    virtual_size: int
-    virtual_address: int
-    size_of_raw_data: int
-    pointer_to_raw_data: int
+class SectionHeader(namedtuple("SectionHeader", "name virtual_size virtual_address size_of_raw_data pointer_to_raw_data")):
+    """One section table entry; name is its 8 raw bytes, kept verbatim."""
+
+    __slots__ = ()
 
     def display_name(self) -> str:
         return self.name.rstrip(b"\x00").decode("ascii", errors="replace")
@@ -80,19 +73,16 @@ class SectionHeader(NamedTuple):
         return Region(self.pointer_to_raw_data, self.size_of_raw_data)
 
 
-class PeImage(NamedTuple):
+class PeImage(namedtuple("PeImage", "data nt_headers sections nt_offset warnings")):
     """Parsed model of a 32-bit PE file plus its full raw bytes.
 
     Instances come from :func:`parse_pe` and are immutable, so the decoded
     headers always describe ``data``.  An edited file is new bytes, parsed
-    again, as :func:`pestego.payload.hide` does.
+    again, as :func:`pestego.payload.hide` does.  ``sections`` is a tuple of
+    SectionHeader and ``warnings`` a tuple of str.
     """
 
-    data: bytes
-    nt_headers: NtHeaders
-    sections: tuple[SectionHeader, ...]
-    nt_offset: int
-    warnings: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:

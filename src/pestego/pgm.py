@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 
+from .errors import _shown
 from .fileio import write_atomic
 from .statstego import Carrier, _pixel_count
 
@@ -25,11 +26,10 @@ def decode_pgm(data: bytes) -> Carrier:
                 raise ValueError
             fields.append(int(token))  # refuses more digits than sys.get_int_max_str_digits()
         except ValueError:
-            shown = repr(token) if len(token) <= 32 else f"{token[:32]!r} (first 32 of {len(token)} bytes)"
-            raise ValueError(f"bad PGM header token {shown}") from None
+            raise ValueError(f"bad PGM header token {_shown(token)}") from None
     width, height, maxval = fields
     if maxval != 255:
-        raise ValueError(f"only maxval 255 is supported, got {maxval}")
+        raise ValueError(f"only maxval 255 is supported, got {_shown(str(maxval), str, 'characters')}")
     pixels = _pixel_count(width, height)
     raster = data[match.end() + 1 :]  # exactly one whitespace byte separates the header from the raster
     if len(raster) < pixels:

@@ -30,6 +30,7 @@ from .errors import (
     BlockTooSmallError,
     CarrierTooSmallError,
     OddBlockLengthError,
+    _shown,
 )
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -115,7 +116,8 @@ class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
 
     def _check(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError(f"carrier dimensions must be positive, got {self.width}x{self.height}")
+            shape = "x".join(_shown(str(n), str, "characters") for n in (self.width, self.height))
+            raise ValueError(f"carrier dimensions must be positive, got {shape}")
         if len(self.pixels) != _pixel_count(self.width, self.height):
             raise ValueError(
                 f"carrier of {self.width}x{self.height} needs {self.width * self.height} pixels, got {len(self.pixels)}"

@@ -122,7 +122,9 @@ def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
             raise ValueError(f"bad PGM header token {shown}") from None
     width, height, maxval = fields
     if maxval != 255:
-        raise ValueError(f"only maxval 255 is supported, got {maxval}")
+        digits = str(maxval)  # cut to its first 32 characters, as a long token is
+        shown = digits if len(digits) <= 32 else f"{digits[:32]} (first 32 of {len(digits)} characters)"
+        raise ValueError(f"only maxval 255 is supported, got {shown}")
     if width * height > sys.maxsize:  # no bytes object holds that raster
         raise ValueError(f"carrier dimensions multiply to more than {sys.maxsize} pixels")
     raster = data[pos + 1 :]

@@ -2,9 +2,11 @@
 
     python tests/smoke.py
 
-Each command runs as ``python -W error -m pestego.cli`` with ``src/`` on
-PYTHONPATH, so the run needs no installed package: it shows that pestego
-works with ``dependencies = []`` and that no command emits a warning.
+Each command runs as ``python -S -W error -m pestego.cli`` with ``src/`` on
+PYTHONPATH, so the run needs no installed package and no ``site`` module:
+it shows that pestego works with ``dependencies = []``, that no command
+needs ``site`` or what a site hook loads, and that no command emits a
+warning.
 The PE cover comes from ``pe_builder``.  The raster carriers are
 constant-gray PGMs carrying bits in 8x8 blocks: 16,384 in a 1024x1024 one,
 and 8,192 side by side in the one block row of a 65536x8 one.  Every block
@@ -36,13 +38,12 @@ from pe_builder import build_pe  # noqa: E402
 
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")])))
 GRAY = 128  # GRAY + k stays below 255, so no pixel saturates
+PESTEGO = [sys.executable, "-S", "-W", "error", "-m", "pestego.cli"]
 
 
 def pestego(*argv, expect: int = 0) -> str:
     """stdout of one command, after checking its exit code and that a success printed nothing to stderr."""
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "pestego.cli", *map(str, argv)], capture_output=True, text=True, env=ENV
-    )
+    proc = subprocess.run([*PESTEGO, *map(str, argv)], capture_output=True, text=True, env=ENV)
     if proc.returncode != expect or (expect == 0 and proc.stderr):
         sys.exit(f"pestego {' '.join(map(str, argv))}: exit {proc.returncode}, expected {expect}\n{proc.stderr}")
     return proc.stdout
@@ -56,7 +57,7 @@ def check(ok: bool, what: str) -> None:
 def wrote_name_not_utf8(*argv, out: bytes) -> None:
     """Under a strict UTF-8 stdout, a command whose --out is not UTF-8 writes it and prints its bytes."""
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "pestego.cli", *map(os.fsencode, argv), "--out", out],
+        [*PESTEGO, *map(os.fsencode, argv), "--out", out],
         capture_output=True,
         env=dict(ENV, PYTHONIOENCODING="utf-8"),
     )
@@ -68,7 +69,7 @@ def wrote_name_not_utf8(*argv, out: bytes) -> None:
 
 def refused_in_one_short_line(*argv) -> None:
     """A refused command exits 2, prints nothing to stdout, and one line of less than 1 KB to stderr."""
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "pestego.cli", *map(str, argv)], capture_output=True, env=ENV)
+    proc = subprocess.run([*PESTEGO, *map(str, argv)], capture_output=True, env=ENV)
     what = f"pestego {' '.join(map(str, argv))}"
     check(proc.returncode == 2 and not proc.stdout, f"{what}: exit {proc.returncode}, stdout {proc.stdout[:80]!r}")
     check(proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n"), f"{what}: stderr {proc.stderr[:200]!r}")

@@ -457,6 +457,15 @@ REFUSALS = [
         stat_extract(infile="no-separator.pgm"), 2,
         f"bad PGM header token {b'255' + bytes(29)!r} (first 32 of 4099 bytes)", id="pgm-separator-missing",
     ),
+    # and at most 32 characters of a header number
+    pytest.param(
+        stat_extract(infile="long-maxval.pgm"), 2,
+        f"only maxval 255 is supported, got {'9' * 32} (first 32 of 4300 characters)", id="pgm-maxval-long",
+    ),
+    pytest.param(
+        stat_extract(infile="zero-by-long.pgm"), 2,
+        f"carrier dimensions must be positive, got 0x{'9' * 32} (first 32 of 4300 characters)", id="pgm-zero-by-long",
+    ),
     # a shape whose pixel count no bytes object can hold is refused before any text formats that count
     pytest.param(stat_extract(infile="nines.pgm"), 2, TOO_MANY_PIXELS, id="pgm-too-many-pixels"),
     pytest.param(
@@ -552,6 +561,8 @@ def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
         "short.pgm": b"P5 2",
         "no-separator.pgm": b"P5\n64 64\n255" + bytes(64 * 64),
         "nines.pgm": b"P5 %s %s 255\n" % (b"9" * 4300, b"9" * 4300),
+        "long-maxval.pgm": b"P5 2 2 %s\n" % (b"9" * 4300),
+        "zero-by-long.pgm": b"P5 0 %s 255\n" % (b"9" * 4300),
         "bits.txt": b"1",
         "grid.bin": bytes(64000),
         "latin-1.txt": b"1\xe90",  # "1é0" in Latin-1

@@ -1,4 +1,4 @@
-"""pestego never imports numpy or dataclasses, and its PE side leaves statstego unloaded.
+"""pestego never imports numpy, dataclasses or typing, and its PE side leaves statstego unloaded.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported numpy through other tests.
@@ -64,10 +64,11 @@ assert main(["stat-extract", "--in", "stego.pgm", "--bits", "8", *args]) == 0
     ids=["import-cli", "pe-commands", "import-stat", "all-commands"],
 )
 def test_no_module_imports_dataclasses(cli_files, code):
-    # measured against the modules loaded at start-up, so a site hook that preloads them cannot fail the test
-    heavy = "{'dataclasses', 'inspect', 'ast'}"
+    # measured against the modules loaded at start-up, so a site hook that preloads them cannot fail the test,
+    # and under -S, so that no site hook preloads them and hides a command that loads them
+    heavy = "{'dataclasses', 'inspect', 'ast', 'typing'}"
     added = f"before = set(sys.modules)\n{code}\nprint(sorted({heavy} & (set(sys.modules) - before)))"
-    assert run_python(added, cli_files)[-1] == "[]"
+    assert run_python(added, cli_files, ("-S",))[-1] == "[]"
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import re
 import struct
 
@@ -12,11 +13,17 @@ from pe_builder import SectionPlan, build_pe
 from test_fuzz import COVER, STEGO, pe_files
 
 from pestego import (
+    CapacityReport,
+    EquivalenceReport,
     Not32BitError,
     NotMzError,
     NotPeError,
+    NtHeaders,
+    PayloadRecord,
+    PeImage,
     PeStegoError,
     Region,
+    SectionHeader,
     StrictParseError,
     TruncatedError,
     header_slack,
@@ -328,3 +335,55 @@ def test_each_header_cut_and_flip_matches_the_offset_reader():
     variants += [data[:at] + bytes([~data[at] & 0xFF]) + data[at + 1 :] for at in range(end)]
     variants += [data[:size_field] + struct.pack("<H", n) + data[size_field + 2 :] for n in (67, 68)]
     assert [decoded(v) for v in variants] == [pe_headers_by_offsets(v) for v in variants]
+
+
+NT = NtHeaders(0x14C, 1, 0xE0, 0x1000, 0x400000, 0x200, 0x400, 0)
+TEXT = SectionHeader(b".text\x00\x00\x00", 0x10, 0x1000, 0x200, 0x400)
+# (value, its fields in order, its exact repr)
+VALUE_TYPES = [
+    (Region(0x178, 0x88), "offset length", "Region(offset=376, length=136)"),
+    (
+        NT,
+        "machine number_of_sections size_of_optional_header address_of_entry_point image_base file_alignment"
+        " size_of_headers checksum",
+        "NtHeaders(machine=332, number_of_sections=1, size_of_optional_header=224, address_of_entry_point=4096,"
+        " image_base=4194304, file_alignment=512, size_of_headers=1024, checksum=0)",
+    ),
+    (
+        TEXT,
+        "name virtual_size virtual_address size_of_raw_data pointer_to_raw_data",
+        "SectionHeader(name=b'.text\\x00\\x00\\x00', virtual_size=16, virtual_address=4096, size_of_raw_data=512,"
+        " pointer_to_raw_data=1024)",
+    ),
+    (
+        PeImage(b"MZ", NT, (TEXT,), 0x80, ("a warning",)),
+        "data nt_headers sections nt_offset warnings",
+        "PeImage(2 bytes, 1 sections, image_base=0x00400000)",
+    ),
+    (PayloadRecord("a.txt", b"hi"), "name data", "PayloadRecord(name='a.txt', data=b'hi')"),
+    (
+        CapacityReport(Region(0x178, 0x88), 16, 120),
+        "region overhead usable",
+        "CapacityReport(region=Region(offset=376, length=136), overhead=16, usable=120)",
+    ),
+    (  # notes left out, so the repr shows its default, ()
+        EquivalenceReport(True, False, (Region(0x178, 2),), True),
+        "identical_headers identical_section_table diff_regions diff_confined_to_slack notes",
+        "EquivalenceReport(identical_headers=True, identical_section_table=False,"
+        " diff_regions=(Region(offset=376, length=2),), diff_confined_to_slack=True, notes=())",
+    ),
+]
+
+
+@pytest.mark.parametrize(("value", "fields", "text"), VALUE_TYPES, ids=[type(v).__name__ for v, _, _ in VALUE_TYPES])
+def test_value_type_contract(value, fields, text):
+    """Each PE value type is a tuple of its fields: equal to the plain tuple, rebuilt as its own class, pickled whole."""
+    cls, plain = type(value), tuple(value)
+    assert value == plain and hash(value) == hash(plain)
+    assert cls._fields == tuple(fields.split())
+    for rebuilt in (cls._make(plain), value._replace(**{cls._fields[0]: value[0]})):
+        assert type(rebuilt) is cls and rebuilt == value
+    assert repr(value) == text
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(value, protocol))
+        assert type(copy) is cls and copy == value
