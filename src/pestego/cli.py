@@ -17,6 +17,7 @@ import sys
 
 import pestego
 
+from .errors import _shown
 from .fileio import write_atomic
 from .pe_format import parse_pe
 
@@ -36,7 +37,7 @@ def _parse_key(text: str) -> bytes:
         except UnicodeEncodeError:  # argv bytes that are not UTF-8 arrive as lone surrogates
             raise ValueError("--key is not UTF-8 text; give a binary key as 0x and hex digits") from None
     if not re.fullmatch(r"0[xX](?:[0-9a-fA-F]{2})+", text):
-        raise ValueError(f"bad hex key {text!r}")
+        raise ValueError(f"bad hex key {_shown(text)}")
     return bytes.fromhex(text[2:])
 
 
@@ -45,19 +46,16 @@ def _parse_int(flag: str, text: str) -> int:
     try:
         return int(re.fullmatch(r"-?[0-9]+", text)[0])
     except (TypeError, ValueError):  # no match, or more digits than sys.get_int_max_str_digits()
-        raise ValueError(f"{flag} expects a decimal integer, got {text!r}") from None
+        raise ValueError(f"{flag} expects a decimal integer, got {_shown(text)}") from None
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
     """'WxH' -> (width, height), each ASCII decimal like a PGM header number."""
     match = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", text)
     try:
-        w, h = int(match[1]), int(match[2])
+        return int(match[1]), int(match[2])
     except (TypeError, ValueError):  # no match, or more digits than sys.get_int_max_str_digits()
-        raise ValueError(f"expected WxH, got {text!r}") from None
-    if w < 1 or h < 1:
-        raise ValueError(f"dimensions must be positive, got {text!r}")
-    return w, h
+        raise ValueError(f"expected WxH, got {_shown(text)}") from None
 
 
 def _span(region) -> str:
@@ -76,7 +74,7 @@ def _load_image(path: str, strict: bool):
 def _stat_params(args):
     # ASCII decimal, fraction and exponent optional (any finite float's repr); '-0.5' and '1e400' reach the domain check
     if not re.fullmatch(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?", args.alpha):
-        raise ValueError(f"--alpha expects a decimal number, got {args.alpha!r}")
+        raise ValueError(f"--alpha expects a decimal number, got {_shown(args.alpha)}")
     block_w, block_h = _parse_dims(args.block)
     k = _parse_int("--k", args.k)
     return pestego.StatParams(block_rows=block_h, block_cols=block_w, k=k, alpha=float(args.alpha))

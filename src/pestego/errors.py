@@ -5,8 +5,9 @@
 # OSError (file I/O failures).
 
 
-def _shown(value, show=repr, unit="bytes") -> str:
+def _shown(value, show=repr) -> str:
     """show(value) for a refusal's text; a value longer than 32 items shows only its first 32, and its length."""
+    unit = "characters" if isinstance(value, str) else "bytes"
     return show(value) if len(value) <= 32 else f"{show(value[:32])} (first 32 of {len(value)} {unit})"
 
 

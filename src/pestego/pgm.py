@@ -6,7 +6,7 @@ import re
 
 from .errors import _shown
 from .fileio import write_atomic
-from .statstego import Carrier, _pixel_count
+from .statstego import Carrier
 
 
 # the magic, then three tokens, each after whitespace and '#' comments: a token is empty only at the end of the data
@@ -29,14 +29,9 @@ def decode_pgm(data: bytes) -> Carrier:
             raise ValueError(f"bad PGM header token {_shown(token)}") from None
     width, height, maxval = fields
     if maxval != 255:
-        raise ValueError(f"only maxval 255 is supported, got {_shown(str(maxval), str, 'characters')}")
-    pixels = _pixel_count(width, height)
-    raster = data[match.end() + 1 :]  # exactly one whitespace byte separates the header from the raster
-    if len(raster) < pixels:
-        raise ValueError(f"PGM raster holds {len(raster)} bytes, header promises {pixels}")
-    if len(raster) > pixels:
-        raise ValueError(f"{len(raster) - pixels} trailing bytes after PGM raster")
-    return Carrier(width=width, height=height, pixels=bytes(raster))
+        raise ValueError(f"only maxval 255 is supported, got {_shown(str(maxval), str)}")
+    # exactly one whitespace byte separates the header from the raster, whose size Carrier checks
+    return Carrier(width=width, height=height, pixels=bytes(data[match.end() + 1 :]))
 
 
 def encode_pgm(carrier: Carrier) -> bytes:

@@ -102,11 +102,17 @@ def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
     return KeyPattern(bytes(bits))
 
 
-def _pixel_count(width: int, height: int) -> int:
-    """width * height, refused before any text formats it if no bytes object can hold that many pixels."""
-    if width * height > sys.maxsize:
-        raise ValueError(f"carrier dimensions multiply to more than {sys.maxsize} pixels")
-    return width * height
+def _shape(width, height) -> str:
+    """'WxH' for a refusal, each number cut as errors._shown cuts a text; past 32 digits, cut before str() sees it."""
+
+    def digits(n) -> str:
+        if not isinstance(n, int) or -(10**32) < n < 10**32:
+            return _shown(str(n), str)
+        cut = max(0, int(math.log10(abs(n))) - 40)  # 40 or more leading digits, within int()'s digit limit
+        head = "-" * (n < 0) + str(abs(n) // 10**cut)
+        return f"{head[:32]} (first 32 of {len(head) + cut} characters)"
+
+    return f"{digits(width)}x{digits(height)}"
 
 
 class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
@@ -116,12 +122,12 @@ class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
 
     def _check(self):
         if self.width < 1 or self.height < 1:
-            shape = "x".join(_shown(str(n), str, "characters") for n in (self.width, self.height))
-            raise ValueError(f"carrier dimensions must be positive, got {shape}")
-        if len(self.pixels) != _pixel_count(self.width, self.height):
-            raise ValueError(
-                f"carrier of {self.width}x{self.height} needs {self.width * self.height} pixels, got {len(self.pixels)}"
-            )
+            raise ValueError(f"carrier dimensions must be positive, got {_shape(self.width, self.height)}")
+        if self.width * self.height > sys.maxsize:  # no bytes object holds them; refused before any text formats them
+            raise ValueError(f"carrier dimensions multiply to more than {sys.maxsize} pixels")
+        if len(self.pixels) != self.width * self.height:
+            shape = _shape(self.width, self.height)
+            raise ValueError(f"carrier of {shape} needs {self.width * self.height} pixels, got {len(self.pixels)}")
 
 
 class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alpha", defaults=(8, 8, 10, 0.05))):
@@ -131,17 +137,16 @@ class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alp
 
     def _check(self):
         """Refuse every setting that embedding or detection could not use, so both refuse alike."""
+        shape = _shape(self.block_cols, self.block_rows)
         if self.block_rows < 1 or self.block_cols < 1:
-            raise ValueError("block dimensions must be positive")
+            raise ValueError(f"block dimensions must be positive, got {shape}")
         if self.block_len % 2:
-            raise OddBlockLengthError(f"block of {self.block_cols}x{self.block_rows} has odd length")
+            raise OddBlockLengthError(f"block of {shape} has odd length")
         if self.block_len < 4:
-            raise BlockTooSmallError(
-                f"block of {self.block_cols}x{self.block_rows} is too small: need at least 2 values per set"
-            )
+            raise BlockTooSmallError(f"block of {shape} is too small: need at least 2 values per set")
         if self.block_len > _MAX_BLOCK_LEN:
             raise ValueError(
-                f"block of {self.block_cols}x{self.block_rows} exceeds {_MAX_BLOCK_LEN} pixels,"
+                f"block of {shape} exceeds {_MAX_BLOCK_LEN} pixels,"
                 " past which an int64 implementation of the detection sums would overflow"
             )
         if self.k < 1:
@@ -292,7 +297,7 @@ def _require_capacity(carrier: Carrier, params: StatParams, needed: int) -> None
     have = block_capacity(carrier, params)
     if needed > have:
         raise CarrierTooSmallError(
-            f"message needs {needed} blocks of {params.block_cols}x{params.block_rows}, carrier has {have}"
+            f"message needs {needed} blocks of {_shape(params.block_cols, params.block_rows)}, carrier has {have}"
         )
 
 

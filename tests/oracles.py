@@ -106,6 +106,10 @@ def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
             raise ValueError("unexpected end of PGM header")
         return data[start:pos], pos
 
+    def cut(number: int) -> str:
+        digits = str(number)  # cut to its first 32 characters, as a long token is
+        return digits if len(digits) <= 32 else f"{digits[:32]} (first 32 of {len(digits)} characters)"
+
     if data[:2] != b"P5":
         raise ValueError("not a binary PGM (missing P5 magic)")
     pos = 2
@@ -122,16 +126,15 @@ def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
             raise ValueError(f"bad PGM header token {shown}") from None
     width, height, maxval = fields
     if maxval != 255:
-        digits = str(maxval)  # cut to its first 32 characters, as a long token is
-        shown = digits if len(digits) <= 32 else f"{digits[:32]} (first 32 of {len(digits)} characters)"
-        raise ValueError(f"only maxval 255 is supported, got {shown}")
+        raise ValueError(f"only maxval 255 is supported, got {cut(maxval)}")
+    # the raster's shape is checked with the texts of Carrier, which decode_pgm hands the raster to
+    if width < 1 or height < 1:
+        raise ValueError(f"carrier dimensions must be positive, got {cut(width)}x{cut(height)}")
     if width * height > sys.maxsize:  # no bytes object holds that raster
         raise ValueError(f"carrier dimensions multiply to more than {sys.maxsize} pixels")
     raster = data[pos + 1 :]
-    if len(raster) < width * height:
-        raise ValueError(f"PGM raster holds {len(raster)} bytes, header promises {width * height}")
-    if len(raster) > width * height:
-        raise ValueError(f"{len(raster) - width * height} trailing bytes after PGM raster")
+    if len(raster) != width * height:
+        raise ValueError(f"carrier of {width}x{height} needs {width * height} pixels, got {len(raster)}")
     return width, height, bytes(raster)
 
 

@@ -16,9 +16,11 @@ round trip runs again on the headerless ``--raw`` grid of the same pixels,
 which must come out as the marked PGM's raster.  An ``embed`` and a
 ``stat-embed`` whose ``--out`` name is not UTF-8 run with
 ``PYTHONIOENCODING=utf-8``, a strict UTF-8 stdout: each must succeed and
-print the name's own bytes in its ``wrote`` line.  A 1 MiB PGM whose
-header lacks the byte after ``255`` is refused with exit 2, one stderr line
-under 1 KB, and nothing on stdout.
+print the name's own bytes in its ``wrote`` line.  Four inputs are refused
+with exit 2, one stderr line under 1 KB, and nothing on stdout: a 1 MiB PGM
+whose header lacks the byte after ``255``, a PGM one byte short of its
+raster, a ``--bits`` of 100,000 characters and a ``--key`` of ``0x`` and
+100,000 characters that are not hex digits.
 pytest does not collect this file; it exits non-zero on the first mismatch.
 """
 
@@ -135,6 +137,11 @@ def main() -> None:
         no_separator = work / "no-separator.pgm"
         no_separator.write_bytes(b"P5\n1024 1024\n255" + bytes(1024 * 1024))  # the last token runs on through the raster
         refused_in_one_short_line("stat-extract", "--in", no_separator, "--key", "smoke", "--bits", 1)
+        one_short = work / "one-short.pgm"
+        one_short.write_bytes(b"P5\n1024 1024\n255\n" + bytes(1024 * 1024 - 1))
+        refused_in_one_short_line("stat-extract", "--in", one_short, "--key", "smoke", "--bits", 1)
+        refused_in_one_short_line("stat-extract", "--in", marked, "--key", "smoke", "--bits", "x" * 100_000)
+        refused_in_one_short_line("stat-extract", "--in", marked, "--key", "0x" + "g" * 100_000, "--bits", 1)
     print("smoke: every command ran as expected")
 
 

@@ -436,7 +436,15 @@ TOO_MANY_PIXELS = f"carrier dimensions multiply to more than {sys.maxsize} pixel
 REFUSALS = [
     pytest.param(stat_extract("--key", "0xZZ"), 2, "bad hex key '0xZZ'", id="hex-key"),
     pytest.param(stat_extract("--block", "8"), 2, "expected WxH, got '8'", id="block-one-number"),
-    pytest.param(stat_extract("--block", "0x8"), 2, "dimensions must be positive, got '0x8'", id="block-zero"),
+    # a zero is refused where the value types check a shape
+    pytest.param(stat_extract("--block", "0x8"), 2, "block dimensions must be positive, got 0x8", id="block-zero"),
+    pytest.param(
+        stat_extract("--raw", "0x8", infile="grid.bin"), 2, "carrier dimensions must be positive, got 0x8", id="raw-zero"
+    ),
+    pytest.param(
+        stat_extract("--raw", "0x8", infile="missing.bin"), 2, "[Errno 2] No such file or directory: 'missing.bin'",
+        id="raw-zero-missing-file",
+    ),
     # a refused block shape reads WxH, as --block does
     pytest.param(stat_extract("--block", "3x5"), 2, "block of 3x5 has odd length", id="block-odd-length"),
     pytest.param(
@@ -465,6 +473,12 @@ REFUSALS = [
     pytest.param(
         stat_extract(infile="zero-by-long.pgm"), 2,
         f"carrier dimensions must be positive, got 0x{'9' * 32} (first 32 of 4300 characters)", id="pgm-zero-by-long",
+    ),
+    pytest.param(
+        stat_extract("--block", "2x" + "9" * 4300), 2,
+        f"block of 2x{'9' * 32} (first 32 of 4300 characters) exceeds 16777216 pixels,"
+        " past which an int64 implementation of the detection sums would overflow",
+        id="block-long",
     ),
     # a shape whose pixel count no bytes object can hold is refused before any text formats that count
     pytest.param(stat_extract(infile="nines.pgm"), 2, TOO_MANY_PIXELS, id="pgm-too-many-pixels"),
@@ -522,6 +536,30 @@ REFUSALS = [
         ("stat-embed", "--in", "grid.bin", "--raw", "320x201", "--key", "k", "--payload", "bits.txt", "--out", "out.bin"),
         2, "carrier of 320x201 needs 64320 pixels, got 64000", id="raw-size-embed",
     ),
+    # a PGM's raster size is checked where its Carrier is built too, with the same text
+    pytest.param(stat_extract(infile="short-raster.pgm"), 2, "carrier of 4x4 needs 16 pixels, got 15", id="pgm-raster-short"),
+    pytest.param(stat_extract(infile="long-raster.pgm"), 2, "carrier of 4x4 needs 16 pixels, got 17", id="pgm-raster-long"),
+    # a flag's value is echoed by at most 32 characters
+    pytest.param(
+        stat_extract("--bits", "x" * 100_000), 2,
+        f"--bits expects a decimal integer, got {'x' * 32!r} (first 32 of 100000 characters)", id="bits-long",
+    ),
+    pytest.param(
+        ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "bits.txt", "--k", "x" * 100_000, "--out", "out.pgm"),
+        2, f"--k expects a decimal integer, got {'x' * 32!r} (first 32 of 100000 characters)", id="k-long",
+    ),
+    pytest.param(
+        stat_extract("--key", "0x" + "g" * 100_000), 2,
+        f"bad hex key {'0x' + 'g' * 30!r} (first 32 of 100002 characters)", id="hex-key-long",
+    ),
+    pytest.param(
+        stat_extract("--block", "x" * 100_000), 2, f"expected WxH, got {'x' * 32!r} (first 32 of 100000 characters)",
+        id="block-long-text",
+    ),
+    pytest.param(
+        stat_extract("--alpha", "x" * 100_000), 2,
+        f"--alpha expects a decimal number, got {'x' * 32!r} (first 32 of 100000 characters)", id="alpha-long",
+    ),
     # text that is not UTF-8: argv and file names carry such bytes as lone surrogates
     pytest.param(
         stat_extract("--key", "\udcff"), 2, "--key is not UTF-8 text; give a binary key as 0x and hex digits",
@@ -563,6 +601,8 @@ def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
         "nines.pgm": b"P5 %s %s 255\n" % (b"9" * 4300, b"9" * 4300),
         "long-maxval.pgm": b"P5 2 2 %s\n" % (b"9" * 4300),
         "zero-by-long.pgm": b"P5 0 %s 255\n" % (b"9" * 4300),
+        "short-raster.pgm": b"P5 4 4 255\n" + bytes(15),
+        "long-raster.pgm": b"P5 4 4 255\n" + bytes(17),
         "bits.txt": b"1",
         "grid.bin": bytes(64000),
         "latin-1.txt": b"1\xe90",  # "1é0" in Latin-1
@@ -580,7 +620,10 @@ def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
 
 @pytest.mark.parametrize("argv, code, message", REFUSALS)
 def test_known_refusal(capsys, refusal_files, argv, code, message):
-    assert run(capsys, *argv) == (code, "", f"pestego: error: {message}\n")
+    """Each refusal is its whole stderr, one line of less than 200 bytes, however long the input it names."""
+    stderr = f"pestego: error: {message}\n"
+    assert run(capsys, *argv) == (code, "", stderr)
+    assert len(stderr.encode("utf-8", "backslashreplace")) < 200
 
 
 def error_classes(cls=PeStegoError):

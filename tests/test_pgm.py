@@ -131,6 +131,19 @@ def test_carrier_shape_past_any_bytes_is_refused():
         assert str(refusal.value) == TOO_MANY_PIXELS
 
 
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2))
+@example(4, 4, -1)  # one byte short
+@example(4, 4, 1)  # one byte over
+@example(0, 3, 1)
+def test_pgm_and_raw_grid_refuse_alike(tmp_path_factory, width, height, excess):
+    """A PGM and a --raw grid of one shape and raster give equal carriers or the same refusal."""
+    raster = bytes(range(max(0, width * height + excess)))
+    grid = tmp_path_factory.getbasetemp() / "grid.bin"
+    grid.write_bytes(raster)
+    pgm = b"P5 %d %d 255\n" % (width, height) + raster
+    assert outcome(decode_pgm, pgm) == outcome(lambda path: read_carrier(path, (width, height)), grid)
+
+
 def test_file_roundtrip(tmp_path):
     carrier = Carrier(5, 4, bytes(range(20)))
     path = str(tmp_path / "c.pgm")

@@ -26,6 +26,8 @@ from pestego import (
     embed_message,
     normal_quantile,
 )
+from pestego.errors import _shown
+from pestego.statstego import _shape
 
 
 class TestPattern:
@@ -199,6 +201,47 @@ class TestParams:
         with pytest.raises(ValueError, match="too small"):
             StatParams(alpha=1e-17)
         assert StatParams(block_rows=4096, block_cols=4096).block_len == 1 << 24
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(
+                lambda: Carrier(0, 10**4400, b""),
+                f"carrier dimensions must be positive, got 0x1{'0' * 31} (first 32 of 4401 characters)",
+                id="carrier-zero-by-past-digit-limit",
+            ),
+            pytest.param(
+                lambda: Carrier(-(10**4400), 3, b""),
+                f"carrier dimensions must be positive, got -1{'0' * 30} (first 32 of 4402 characters)x3",
+                id="carrier-negative-past-digit-limit",
+            ),
+            pytest.param(
+                lambda: StatParams(block_rows=10**4400 - 1, block_cols=2),
+                f"block of 2x{'9' * 32} (first 32 of 4400 characters) exceeds 16777216 pixels,"
+                " past which an int64 implementation of the detection sums would overflow",
+                id="block-past-digit-limit",
+            ),
+            pytest.param(
+                lambda: StatParams(block_rows=0, block_cols=8), "block dimensions must be positive, got 8x0", id="block-zero"
+            ),
+        ],
+    )
+    def test_refused_shape_reads_wxh_cut_to_32_characters(self, build, message):
+        """Even a number that str() refuses, one past int()'s digit limit, shows its first 32 digits and its length."""
+        with pytest.raises(ValueError) as refusal:
+            build()
+        assert str(refusal.value) == message
+
+    @given(st.integers(-(10**4000), 10**4000))
+    @example(10**32 - 1)
+    @example(10**32)
+    @example(-(10**31))
+    @example(-(10**32))
+    @example(10**41)
+    @example(10**4000)
+    @example(-(10**4000) + 1)
+    def test_shape_cuts_a_number_as_its_digits_are_cut(self, n):
+        assert _shape(n, 7) == f"{_shown(str(n), str)}x7"
 
     def test_layout_from_text(self):
         assert MessageLayout.from_text(" 01\n10 ").message_bits == (0, 1, 1, 0)
