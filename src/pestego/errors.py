@@ -5,10 +5,16 @@
 # OSError (file I/O failures).
 
 
-def _shown(value, show=repr) -> str:
-    """show(value) for a refusal's text; a value longer than 32 items shows only its first 32, and its length."""
-    unit = "characters" if isinstance(value, str) else "bytes"
-    return show(value) if len(value) <= 32 else f"{show(value[:32])} (first 32 of {len(value)} {unit})"
+def _shown(value) -> str:
+    """A refusal's view of an input value: text and bytes by repr, any other value by str(); a value of more than
+    32 characters or bytes shows only its first 32, and its length."""
+    if isinstance(value, (str, bytes)):
+        unit = "characters" if isinstance(value, str) else "bytes"
+        return repr(value) if len(value) <= 32 else f"{value[:32]!r} (first 32 of {len(value)} {unit})"
+    # an int keeps 40 or more leading digits before str() sees it, within int()'s digit limit (log10(2) ~ 0.30103)
+    cut = max(0, (value.bit_length() - 1) * 30103 // 100000 - 40) if isinstance(value, int) else 0
+    text = "-" * (value < 0) + str(abs(value) // 10**cut) if cut else str(value)
+    return text if len(text) <= 32 else f"{text[:32]} (first 32 of {len(text) + cut} characters)"
 
 
 class PeStegoError(Exception):
@@ -40,10 +46,10 @@ class Not32BitError(PeFormatError):
 
 
 class StrictParseError(PeFormatError):
-    """Layout warnings promoted to an error by strict mode."""
+    """Layout warnings promoted to an error by strict mode; its text is the first one and how many more follow."""
 
     def __init__(self, warnings: tuple[str, ...]):
-        super().__init__("; ".join(warnings))
+        super().__init__(warnings[0] + (f"; and {len(warnings) - 1} more" if len(warnings) > 1 else ""))
         self.warnings = warnings
 
 

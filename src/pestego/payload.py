@@ -27,6 +27,7 @@ from .errors import (
     NoPayloadError,
     SlackOccupiedError,
     UnsafeNameError,
+    _shown,
 )
 from .fileio import write_atomic
 from .pe_format import PeImage, header_slack, parse_pe
@@ -48,7 +49,7 @@ def safe_file_name(name: str, action: str = "write") -> str:
         or "\\" in name
         or name != os.path.basename(name)
     ):
-        raise UnsafeNameError(f"refusing to {action} unsafe file name {name!r}")
+        raise UnsafeNameError(f"refusing to {action} unsafe file name {_shown(name)}")
     return name
 
 
@@ -57,7 +58,7 @@ def _encode_name(name: str) -> bytes:
     try:
         encoded = name.encode("utf-8")
     except UnicodeEncodeError:
-        raise NameTooLongError(f"name {name!r} does not encode to UTF-8") from None
+        raise NameTooLongError(f"name {_shown(name)} does not encode to UTF-8") from None
     if not encoded:
         raise NameTooLongError("name must encode to at least 1 byte")
     if len(encoded) > MAX_NAME_BYTES:

@@ -18,6 +18,7 @@ from .errors import (
     NotPeError,
     StrictParseError,
     TruncatedError,
+    _shown,
 )
 
 DOS_MAGIC = b"MZ"
@@ -101,7 +102,7 @@ class PeImage(namedtuple("PeImage", "data nt_headers sections nt_offset warnings
 
     def read(self, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0 or offset + length > len(self.data):
-            raise ValueError(f"read [{offset}, {offset + length}) outside file of {len(self.data)} bytes")
+            raise ValueError(f"read [{_shown(offset)}, {_shown(offset + length)}) outside file of {len(self.data)} bytes")
         return self.data[offset : offset + length]
 
     def __repr__(self) -> str:
@@ -233,7 +234,7 @@ def header_slack(image: PeImage) -> Region:
 def section_slack(image: PeImage, index: int) -> Region:
     """Unused tail of a section's raw data (SizeOfRawData past VirtualSize)."""
     if not 0 <= index < len(image.sections):
-        raise IndexError(f"section index {index} out of range (have {len(image.sections)})")
+        raise IndexError(f"section index {_shown(index)} out of range (have {len(image.sections)})")
     sec = image.sections[index]
     if sec.size_of_raw_data > sec.virtual_size:
         return Region(sec.pointer_to_raw_data + sec.virtual_size, sec.size_of_raw_data - sec.virtual_size)

@@ -29,7 +29,7 @@ def decode_pgm(data: bytes) -> Carrier:
             raise ValueError(f"bad PGM header token {_shown(token)}") from None
     width, height, maxval = fields
     if maxval != 255:
-        raise ValueError(f"only maxval 255 is supported, got {_shown(str(maxval), str)}")
+        raise ValueError(f"only maxval 255 is supported, got {_shown(maxval)}")
     # exactly one whitespace byte separates the header from the raster, whose size Carrier checks
     return Carrier(width=width, height=height, pixels=bytes(data[match.end() + 1 :]))
 

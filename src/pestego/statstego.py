@@ -87,9 +87,9 @@ class KeyPattern(_Checked, namedtuple("KeyPattern", "bits")):
 def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
     """Deterministically derive the balanced mask for (key, block_len)."""
     if block_len % 2:
-        raise OddBlockLengthError(f"block length {block_len} is odd; patterns need an even length")
+        raise OddBlockLengthError(f"block length {_shown(block_len)} is odd; patterns need an even length")
     if block_len < 2:
-        raise ValueError(f"block length must be >= 2, got {block_len}")
+        raise ValueError(f"block length must be >= 2, got {_shown(block_len)}")
     bits = bytearray([1] * (block_len // 2) + [0] * (block_len // 2))
     draws = _key_stream(key)
     for i in range(block_len - 1, 0, -1):
@@ -103,16 +103,8 @@ def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
 
 
 def _shape(width, height) -> str:
-    """'WxH' for a refusal, each number cut as errors._shown cuts a text; past 32 digits, cut before str() sees it."""
-
-    def digits(n) -> str:
-        if not isinstance(n, int) or -(10**32) < n < 10**32:
-            return _shown(str(n), str)
-        cut = max(0, int(math.log10(abs(n))) - 40)  # 40 or more leading digits, within int()'s digit limit
-        head = "-" * (n < 0) + str(abs(n) // 10**cut)
-        return f"{head[:32]} (first 32 of {len(head) + cut} characters)"
-
-    return f"{digits(width)}x{digits(height)}"
+    """'WxH' for a refusal, each number shown as errors._shown shows it."""
+    return f"{_shown(width)}x{_shown(height)}"
 
 
 class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
@@ -150,11 +142,11 @@ class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alp
                 " past which an int64 implementation of the detection sums would overflow"
             )
         if self.k < 1:
-            raise ValueError(f"strength k must be a positive integer, got {self.k}")
+            raise ValueError(f"strength k must be a positive integer, got {_shown(self.k)}")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ValueError(f"alpha must lie in (0, 1), got {_shown(self.alpha)}")
         if 1.0 - self.alpha == 1.0:
-            raise ValueError(f"alpha {self.alpha!r} is too small: 1 - alpha rounds to 1, so z_alpha is not finite")
+            raise ValueError(f"alpha {_shown(self.alpha)} is too small: 1 - alpha rounds to 1, so z_alpha is not finite")
 
     @property
     def block_len(self) -> int:
@@ -297,7 +289,7 @@ def _require_capacity(carrier: Carrier, params: StatParams, needed: int) -> None
     have = block_capacity(carrier, params)
     if needed > have:
         raise CarrierTooSmallError(
-            f"message needs {needed} blocks of {_shape(params.block_cols, params.block_rows)}, carrier has {have}"
+            f"message needs {_shown(needed)} blocks of {_shape(params.block_cols, params.block_rows)}, carrier has {have}"
         )
 
 
@@ -317,9 +309,9 @@ def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatPara
     no spread gives 0, or a signed infinity if the means differ.  A bit is 1 iff q > z_alpha.
     """
     if bit_count < 0:
-        raise ValueError(f"bit count must be non-negative, got {bit_count}")
+        raise ValueError(f"bit count must be non-negative, got {_shown(bit_count)}")
     if first < 0:
-        raise ValueError(f"first block must be non-negative, got {first}")
+        raise ValueError(f"first block must be non-negative, got {_shown(first)}")
     _require_capacity(carrier, params, first + bit_count)
     shape = (params.block_rows, params.block_cols)
     q = _block_q(carrier.pixels, carrier.width, shape, derive_pattern(key, params.block_len).bits, first, bit_count)
@@ -329,7 +321,7 @@ def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatPara
 def normal_quantile(p: float) -> float:
     """Standard normal quantile z with Phi(z) = p, for p in (0, 1)."""
     if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+        raise ValueError(f"p must lie strictly inside (0, 1), got {_shown(p)}")
     from statistics import NormalDist  # about 4 ms to import (-X importtime, python -B); only detection needs it
 
     return NormalDist().inv_cdf(p)

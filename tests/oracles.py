@@ -85,6 +85,12 @@ def diff_runs(a: bytes, b: bytes) -> list[tuple[int, int]]:
     return runs
 
 
+def shown_number(number: int) -> str:
+    """str(number), cut to its first 32 characters and its length when it is longer, as a long token is."""
+    digits = str(number)
+    return digits if len(digits) <= 32 else f"{digits[:32]} (first 32 of {len(digits)} characters)"
+
+
 def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
     """(width, height, pixels) of a binary PGM, read by the byte-at-a-time header scanner
     that pestego's decode_pgm used before it matched one pattern; ValueError texts are the decoder's."""
@@ -106,10 +112,6 @@ def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
             raise ValueError("unexpected end of PGM header")
         return data[start:pos], pos
 
-    def cut(number: int) -> str:
-        digits = str(number)  # cut to its first 32 characters, as a long token is
-        return digits if len(digits) <= 32 else f"{digits[:32]} (first 32 of {len(digits)} characters)"
-
     if data[:2] != b"P5":
         raise ValueError("not a binary PGM (missing P5 magic)")
     pos = 2
@@ -126,10 +128,10 @@ def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
             raise ValueError(f"bad PGM header token {shown}") from None
     width, height, maxval = fields
     if maxval != 255:
-        raise ValueError(f"only maxval 255 is supported, got {cut(maxval)}")
+        raise ValueError(f"only maxval 255 is supported, got {shown_number(maxval)}")
     # the raster's shape is checked with the texts of Carrier, which decode_pgm hands the raster to
     if width < 1 or height < 1:
-        raise ValueError(f"carrier dimensions must be positive, got {cut(width)}x{cut(height)}")
+        raise ValueError(f"carrier dimensions must be positive, got {shown_number(width)}x{shown_number(height)}")
     if width * height > sys.maxsize:  # no bytes object holds that raster
         raise ValueError(f"carrier dimensions multiply to more than {sys.maxsize} pixels")
     raster = data[pos + 1 :]

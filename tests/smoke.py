@@ -16,11 +16,14 @@ round trip runs again on the headerless ``--raw`` grid of the same pixels,
 which must come out as the marked PGM's raster.  An ``embed`` and a
 ``stat-embed`` whose ``--out`` name is not UTF-8 run with
 ``PYTHONIOENCODING=utf-8``, a strict UTF-8 stdout: each must succeed and
-print the name's own bytes in its ``wrote`` line.  Four inputs are refused
+print the name's own bytes in its ``wrote`` line.  Seven inputs are refused
 with exit 2, one stderr line under 1 KB, and nothing on stdout: a 1 MiB PGM
 whose header lacks the byte after ``255``, a PGM one byte short of its
-raster, a ``--bits`` of 100,000 characters and a ``--key`` of ``0x`` and
-100,000 characters that are not hex digits.
+raster, a ``--bits`` of 100,000 characters, a ``--key`` of ``0x`` and
+100,000 characters that are not hex digits, a ``--k`` of ``-`` and 4,300
+nines, a ``capacity --name`` of 100,000 bytes that are not UTF-8, and an
+``inspect --strict`` of a cover with 2,000 misaligned sections (3,984
+layout warnings).
 pytest does not collect this file; it exits non-zero on the first mismatch.
 """
 
@@ -36,7 +39,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS))
 
-from pe_builder import build_pe  # noqa: E402
+from pe_builder import SectionPlan, build_pe  # noqa: E402
 
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")])))
 GRAY = 128  # GRAY + k stays below 255, so no pixel saturates
@@ -142,6 +145,11 @@ def main() -> None:
         refused_in_one_short_line("stat-extract", "--in", one_short, "--key", "smoke", "--bits", 1)
         refused_in_one_short_line("stat-extract", "--in", marked, "--key", "smoke", "--bits", "x" * 100_000)
         refused_in_one_short_line("stat-extract", "--in", marked, "--key", "0x" + "g" * 100_000, "--bits", 1)
+        refused_in_one_short_line("stat-embed", *stat_flags, "--k", "-" + "9" * 4300, "--out", work / "k.pgm")
+        refused_in_one_short_line("capacity", "--in", cover, "--name", "\udcff" * 100_000)  # the bytes 0xFF
+        many = work / "many-sections.exe"
+        many.write_bytes(build_pe(sections=[SectionPlan(raw_size=500) for _ in range(2000)]).data)
+        refused_in_one_short_line("inspect", "--in", many, "--strict")
     print("smoke: every command ran as expected")
 
 

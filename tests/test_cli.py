@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,24 @@ from hypothesis import strategies as st
 from pe_builder import SectionPlan, build_pe
 from oracles import byte_diff_offsets
 
-from pestego import Carrier, PeStegoError, cli
+from pestego import (
+    Carrier,
+    CarrierTooSmallError,
+    NameTooLongError,
+    OddBlockLengthError,
+    PeStegoError,
+    StatParams,
+    UnsafeNameError,
+    capacity,
+    cli,
+    derive_pattern,
+    detect_blocks,
+    normal_quantile,
+    parse_pe,
+    section_slack,
+)
 from pestego.cli import main
+from pestego.payload import safe_file_name
 from pestego.pgm import write_carrier
 
 
@@ -560,6 +577,24 @@ REFUSALS = [
         stat_extract("--alpha", "x" * 100_000), 2,
         f"--alpha expects a decimal number, got {'x' * 32!r} (first 32 of 100000 characters)", id="alpha-long",
     ),
+    # and a number by at most 32 digits, however many int() took
+    pytest.param(
+        ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "bits.txt", "--k", "-" + "9" * 4300, "--out", "out.pgm"),
+        2, f"strength k must be a positive integer, got -{'9' * 31} (first 32 of 4301 characters)", id="k-negative-long",
+    ),
+    pytest.param(
+        stat_extract("--bits", "-" + "9" * 4300), 2,
+        f"bit count must be non-negative, got -{'9' * 31} (first 32 of 4301 characters)", id="bits-negative-long",
+    ),
+    pytest.param(
+        stat_extract("--bits", "9" * 4300), 7,
+        f"message needs {'9' * 32} (first 32 of 4300 characters) blocks of 8x8, carrier has 64", id="bits-past-capacity-long",
+    ),
+    # strict mode names the first layout warning and counts the rest
+    pytest.param(
+        ("inspect", "--in", "many-sections.exe", "--strict"), 2,
+        "section .text: SizeOfRawData 0x1F4 not aligned to FileAlignment; and 3983 more", id="strict-many-warnings",
+    ),
     # text that is not UTF-8: argv and file names carry such bytes as lone surrogates
     pytest.param(
         stat_extract("--key", "\udcff"), 2, "--key is not UTF-8 text; give a binary key as 0x and hex digits",
@@ -576,6 +611,10 @@ REFUSALS = [
     pytest.param(
         ("embed", "--in", "cover.exe", "--payload", "caf\udce9.txt", "--out", "stego.exe"), 2,
         "name 'caf\\udce9.txt' does not encode to UTF-8", id="payload-file-name-latin-1",
+    ),
+    pytest.param(
+        ("capacity", "--in", "cover.exe", "--name", "a" * 100_000 + "\udcff"), 2,
+        f"name {'a' * 32!r} (first 32 of 100001 characters) does not encode to UTF-8", id="name-not-utf8-long",
     ),
     pytest.param(
         ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "latin-1.txt", "--out", "out.pgm"), 2,
@@ -612,6 +651,7 @@ def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
         "coff-cut.exe": data[: coff + 10],
         "opt60.exe": bytes(opt60),
         "opt-cut.exe": data[: coff + 20 + 100],
+        "many-sections.exe": build_pe(sections=[SectionPlan(raw_size=500) for _ in range(2000)]).data,
         **{f"{name}.exe": build_pe(header_slack=16, slack_fill=record).data for name, record in records.items()},
     }
     for name, content in files.items():
@@ -624,6 +664,83 @@ def test_known_refusal(capsys, refusal_files, argv, code, message):
     stderr = f"pestego: error: {message}\n"
     assert run(capsys, *argv) == (code, "", stderr)
     assert len(stderr.encode("utf-8", "backslashreplace")) < 200
+
+
+HUGE = 10**5000  # past int()'s digit limit, so str() refuses it
+ONE_BLOCK, PE_IMAGE = Carrier(8, 8, bytes(64)), parse_pe(build_pe().data)
+
+
+# (call, the class it raises) for each library refusal that echoes a number or a name
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: derive_pattern(b"k", HUGE + 1), OddBlockLengthError, id="pattern-odd"),
+        pytest.param(lambda: derive_pattern(b"k", -HUGE), ValueError, id="pattern-short"),
+        pytest.param(lambda: StatParams(k=-HUGE), ValueError, id="params-k"),
+        pytest.param(lambda: StatParams(alpha=HUGE), ValueError, id="params-alpha"),
+        # 1.0 - a Fraction is a float sum, so 1/10**4000 rounds to nothing
+        pytest.param(lambda: StatParams(alpha=Fraction(1, 10**4000)), ValueError, id="params-alpha-too-small"),
+        pytest.param(lambda: detect_blocks(ONE_BLOCK, b"k", HUGE, StatParams()), CarrierTooSmallError, id="capacity"),
+        pytest.param(lambda: detect_blocks(ONE_BLOCK, b"k", -HUGE, StatParams()), ValueError, id="bit-count"),
+        pytest.param(lambda: detect_blocks(ONE_BLOCK, b"k", 0, StatParams(), -HUGE), ValueError, id="first-block"),
+        pytest.param(lambda: normal_quantile(HUGE), ValueError, id="quantile"),
+        pytest.param(lambda: safe_file_name("a" * 100_000 + "/"), UnsafeNameError, id="unsafe-name"),
+        pytest.param(lambda: capacity(PE_IMAGE, "a" * 100_000 + "\udcff"), NameTooLongError, id="name-not-utf8"),
+        pytest.param(lambda: PE_IMAGE.read(HUGE, 1), ValueError, id="read"),
+        pytest.param(lambda: section_slack(PE_IMAGE, HUGE), IndexError, id="section-index"),
+    ],
+)
+def test_library_refusal_cuts_a_long_value(call, error):
+    """A library call refuses a value of any length with its own error and a short text, as the command line does."""
+    with pytest.raises(error) as refusal:
+        call()
+    assert type(refusal.value) is error
+    assert "(first 32 of" in str(refusal.value) and len(str(refusal.value)) < 200
+
+
+FLAGS = ("--key", "--alpha", "--block", "--raw", "--bits", "--k", "--name")
+
+
+def flag_argv(stat_files, pe_files, flag: str) -> tuple:
+    """A command that takes the flag, before its value; a repeated flag's last value wins."""
+    if flag == "--name":
+        return ("capacity", "--in", pe_files / "cover.exe")
+    carrier, bits = stat_files / "carrier.pgm", stat_files / "bits.txt"
+    if flag == "--k":
+        return ("stat-embed", "--in", carrier, "--key", "k", "--payload", bits, "--out", stat_files / "stego.pgm")
+    return ("stat-extract", "--in", carrier, "--key", "k", "--bits", 1)
+
+
+# text with lone surrogates, as argv carries bytes that are not UTF-8, unprintable characters and the flags' grammar
+FLAG_CHARACTERS = st.one_of(
+    st.characters(),
+    st.integers(0xDC80, 0xDCFF).map(chr),
+    st.sampled_from("\x00\n\x1b\x7f\u200b\u2028\U000e0001"),
+    st.sampled_from("0123456789-xX.eE"),
+)
+
+
+@given(
+    flag=st.sampled_from(FLAGS),
+    value=st.text(FLAG_CHARACTERS, max_size=50)
+    | st.tuples(st.text(FLAG_CHARACTERS, min_size=1, max_size=50), st.integers(1, 100)).map(lambda run: run[0] * run[1]),
+)
+@example(flag="--k", value="-" + "9" * 4300)
+@example(flag="--bits", value="-" + "9" * 4300)
+@example(flag="--bits", value="9" * 4300)
+@example(flag="--name", value="a" * 100_000 + "\udcff")
+@example(flag="--name", value="\udcff" * 100_000)
+@example(flag="--alpha", value="\U000e0001" * 1000)
+def test_refusal_of_any_flag_value_is_one_short_line(stat_files, pe_files, flag, value):
+    """Whatever a flag's value, up to some 5,000 characters, a refused command prints nothing to stdout and
+    one stderr line of less than 512 bytes."""
+    argv = [*flag_argv(stat_files, pe_files, flag), f"{flag}={value}"]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([str(a) for a in argv])
+    if code != 0:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert len(err.getvalue().encode("utf-8", "backslashreplace")) < 512
 
 
 def error_classes(cls=PeStegoError):

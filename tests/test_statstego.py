@@ -241,7 +241,8 @@ class TestParams:
     @example(10**4000)
     @example(-(10**4000) + 1)
     def test_shape_cuts_a_number_as_its_digits_are_cut(self, n):
-        assert _shape(n, 7) == f"{_shown(str(n), str)}x7"
+        assert _shown(n) == oracles.shown_number(n)
+        assert _shape(n, 7) == f"{oracles.shown_number(n)}x7"
 
     def test_layout_from_text(self):
         assert MessageLayout.from_text(" 01\n10 ").message_bits == (0, 1, 1, 0)
