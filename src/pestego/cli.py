@@ -18,7 +18,7 @@ import sys
 import pestego
 
 from .errors import _shown
-from .fileio import write_atomic
+from .fileio import read_file, write_atomic
 from .pe_format import parse_pe
 
 # Commands reach the library through the package, so each imports only the modules it calls (statstego ~5 ms,
@@ -62,22 +62,14 @@ def _span(region) -> str:
     return f"0x{region.offset:X} .. 0x{region.end:X} ({region.length} bytes)"
 
 
-def _read_file(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _load_image(path: str, strict: bool):
-    return parse_pe(_read_file(path), strict=strict)
-
-
 def _stat_params(args):
     # ASCII decimal, fraction and exponent optional (any finite float's repr); '-0.5' and '1e400' reach the domain check
     if not re.fullmatch(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?", args.alpha):
         raise ValueError(f"--alpha expects a decimal number, got {_shown(args.alpha)}")
     block_w, block_h = _parse_dims(args.block)
-    k = _parse_int("--k", args.k)
-    return pestego.StatParams(block_rows=block_h, block_cols=block_w, k=k, alpha=float(args.alpha))
+    # stat-extract takes no --k and keeps the default: detection is blind to the embedding strength
+    k = {"k": _parse_int("--k", args.k)} if hasattr(args, "k") else {}
+    return pestego.StatParams(block_rows=block_h, block_cols=block_w, alpha=float(args.alpha), **k)
 
 
 def _read_carrier(args):
@@ -85,7 +77,7 @@ def _read_carrier(args):
 
 
 def cmd_inspect(args) -> tuple[int, list[str]]:
-    image = _load_image(args.infile, args.strict)
+    image = parse_pe(read_file(args.infile), strict=args.strict)
     nt = image.nt_headers
     lines = [
         f"machine:            0x{nt.machine:04X}",
@@ -115,7 +107,7 @@ def cmd_inspect(args) -> tuple[int, list[str]]:
 
 
 def cmd_capacity(args) -> tuple[int, list[str]]:
-    image = _load_image(args.infile, args.strict)
+    image = parse_pe(read_file(args.infile), strict=args.strict)
     name = args.name if args.name is not None else "x"
     report = pestego.capacity(image, name)
     return EXIT_OK, [
@@ -127,8 +119,8 @@ def cmd_capacity(args) -> tuple[int, list[str]]:
 
 
 def cmd_embed(args) -> tuple[int, list[str]]:
-    image = _load_image(args.infile, args.strict)
-    data = _read_file(args.payload)
+    image = parse_pe(read_file(args.infile), strict=args.strict)
+    data = read_file(args.payload)
     name = args.name if args.name is not None else os.path.basename(args.payload)
     stego = pestego.hide(image, name, data, force=args.force)
     write_atomic(args.outfile, pestego.serialize(stego))
@@ -142,14 +134,14 @@ def cmd_embed(args) -> tuple[int, list[str]]:
 
 
 def cmd_extract(args) -> tuple[int, list[str]]:
-    image = _load_image(args.infile, args.strict)
+    image = parse_pe(read_file(args.infile), strict=args.strict)
     name, data = pestego.retract(image)
     path = pestego.write_extracted_file(name, data, args.outdir)
     return EXIT_OK, [f'recovered "{name}" ({len(data)} bytes)', f"wrote {path}"]
 
 
 def cmd_verify(args) -> tuple[int, list[str]]:
-    report = pestego.compare(_read_file(args.before), _read_file(args.after))
+    report = pestego.compare(read_file(args.before), read_file(args.after))
     regions, notes = report.diff_regions, report.notes
     lines = [
         f"headers identical:        {'yes' if report.identical_headers else 'NO'}",
@@ -178,8 +170,8 @@ def cmd_verify(args) -> tuple[int, list[str]]:
 def cmd_stat_embed(args) -> tuple[int, list[str]]:
     params = _stat_params(args)
     carrier = _read_carrier(args)
-    with open(args.payload, "r", encoding="utf-8", errors="replace") as fh:  # U+FFFD is refused as a non-bit
-        layout = pestego.MessageLayout.from_text(fh.read())
+    # U+FFFD, like a BOM, is refused as a non-bit; from_text drops every whitespace character, CR included
+    layout = pestego.MessageLayout.from_text(read_file(args.payload).decode("utf-8", "replace"))
     key = _parse_key(args.key)
     stego = pestego.embed_message(carrier, key, layout, params)
     pestego.write_carrier(args.outfile, stego, bool(args.raw))
@@ -189,9 +181,12 @@ def cmd_stat_embed(args) -> tuple[int, list[str]]:
     ]
 
 
-# Fewest blocks per share. Split in two, a --csv read of 4,096 blocks saved 0.7-2 ms of 17-34 ms
-# (break-even) and one of 8,192 saved 9-10 ms, with 8x8, 16x16 and 4x6 blocks (2-CPU Xeon, median of 15).
-# Tuned for --csv: a default read of 8,192 8x8 blocks took 0.023 s serial and 0.028 s split (in-process, median of 25).
+# Fewest blocks per share.  The split stays on a subprocess A/B: `bench/run.py --workload stat-detect --seed 1
+# --seconds 35` against a copy whose MIN_SHARE is 1 << 62 (always one share), alternating which ran first, read pass_s
+# medians of 0.480 against 0.595 s, the split faster in 10 of 10 pairs (2-CPU Xeon, Python 3.11.7, load 0.9-1.4).
+# That loop runs calls back to back.  Lone calls, each after a 1 s idle, showed no gain (8 alternating fresh runs,
+# split against one share: 273/237 ms for 65,536 8x8 blocks, 179/176 ms for 16,384 16x16 and 181/194 ms for 43,520
+# 4x6, each side faster in about half), likely because a fresh worker starts on its parent's CPU.
 MIN_SHARE = 4096
 
 
@@ -243,24 +238,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pestego",
         description="Hide files in 32-bit PE header slack and embed bits in raster carriers statistically.",
+        allow_abbrev=False,  # a flag counts only under its full name, so `--k` is never read as `--key`
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_strict(p):
         p.add_argument("--strict", action="store_true", help="treat PE layout warnings as errors")
 
-    p = sub.add_parser("inspect", help="dump headers, section table, slack and capacity")
+    p = sub.add_parser("inspect", help="dump headers, section table, slack and capacity", allow_abbrev=False)
     p.add_argument("--in", dest="infile", required=True, help="PE file to inspect")
     add_strict(p)
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("capacity", help="report how much payload fits the header slack")
+    p = sub.add_parser("capacity", help="report how much payload fits the header slack", allow_abbrev=False)
     p.add_argument("--in", dest="infile", required=True, help="PE file")
     p.add_argument("--name", help="payload file name to account for (default: 1-byte name)")
     add_strict(p)
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("embed", help="hide a payload file in the header slack")
+    p = sub.add_parser("embed", help="hide a payload file in the header slack", allow_abbrev=False)
     p.add_argument("--in", dest="infile", required=True, help="cover PE file")
     p.add_argument("--payload", required=True, help="file to hide")
     p.add_argument("--name", help="stored file name (default: payload basename)")
@@ -269,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_strict(p)
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("extract", help="recover a hidden payload file")
+    p = sub.add_parser("extract", help="recover a hidden payload file", allow_abbrev=False)
     p.add_argument("--in", dest="infile", required=True, help="stego PE file")
     p.add_argument("--out", dest="outdir", required=True, help="directory for the recovered file")
     add_strict(p)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("verify", help="byte-diff two PE files and check slack confinement")
+    p = sub.add_parser("verify", help="byte-diff two PE files and check slack confinement", allow_abbrev=False)
     p.add_argument("before", help="cover PE file")
     p.add_argument("after", help="stego PE file")
     p.add_argument("--out", dest="outfile", help="write machine-readable report here")
@@ -288,20 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--block", default="8x8", help="block size WxH in pixels (default 8x8)")
         p.add_argument("--raw", metavar="WxH", help="treat carrier as a headerless byte grid of WxH")
 
-    p = sub.add_parser("stat-embed", help="embed message bits into carrier blocks")
+    p = sub.add_parser("stat-embed", help="embed message bits into carrier blocks", allow_abbrev=False)
     add_stat_common(p)
     p.add_argument("--payload", required=True, help="text file of message bits (0/1, whitespace ignored)")
     p.add_argument("--k", default="10", help="additive strength (default 10)")
     p.add_argument("--out", dest="outfile", required=True, help="stego carrier output path")
     p.set_defaults(func=cmd_stat_embed)
 
-    p = sub.add_parser("stat-extract", help="recover message bits from a carrier")
+    p = sub.add_parser("stat-extract", help="recover message bits from a carrier", allow_abbrev=False)
     add_stat_common(p)
     p.add_argument("--bits", required=True, help="number of bits to read")
     p.add_argument("--csv", action="store_true", help="print block,q,bit as CSV")
     p.set_defaults(func=cmd_stat_extract)
-    # detection needs no k: the test is blind to the embedding strength
-    p.set_defaults(k="10")
 
     return parser
 

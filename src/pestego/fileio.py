@@ -1,8 +1,13 @@
-"""Output files that are either written whole or not at all."""
+"""Every input file is read whole here, and every output file is written whole or not at all."""
 
 from __future__ import annotations
 
 import os
+
+
+def read_file(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def write_atomic(path: str, data: bytes) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .errors import _shown
-from .fileio import write_atomic
+from .fileio import read_file, write_atomic
 from .statstego import Carrier
 
 
@@ -41,8 +41,7 @@ def encode_pgm(carrier: Carrier) -> bytes:
 
 def read_carrier(path: str, shape: tuple[int, int] | None = None) -> Carrier:
     """A PGM file, or with shape = (width, height) a headerless byte grid of that shape."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_file(path)
     return decode_pgm(data) if shape is None else Carrier(*shape, data)
 
 

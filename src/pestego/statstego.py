@@ -90,6 +90,8 @@ def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
         raise OddBlockLengthError(f"block length {_shown(block_len)} is odd; patterns need an even length")
     if block_len < 2:
         raise ValueError(f"block length must be >= 2, got {_shown(block_len)}")
+    if block_len > _MAX_BLOCK_LEN:  # refused before the mask is allocated
+        raise ValueError(f"block length {_shown(block_len)} exceeds {_MAX_BLOCK_LEN}, the most StatParams accepts")
     bits = bytearray([1] * (block_len // 2) + [0] * (block_len // 2))
     draws = _key_stream(key)
     for i in range(block_len - 1, 0, -1):
@@ -164,8 +166,11 @@ class MessageLayout(_Checked, namedtuple("MessageLayout", "message_bits")):
     __slots__ = ()
 
     def _check(self):
-        if self.message_bits.count(0) + self.message_bits.count(1) != len(self.message_bits):
-            raise ValueError("message bits must be 0 or 1")
+        try:  # KeyPattern's rule; iter() refuses an int, which bytes() would take as a count of zero bytes
+            if bytes(iter(self.message_bits)).translate(None, b"\x00\x01"):
+                raise ValueError
+        except (TypeError, ValueError):  # bytes() refuses a float, a str or a value past 255 with its own error
+            raise ValueError("message bits must be 0 or 1") from None
 
     @property
     def block_count(self) -> int:

@@ -13,7 +13,11 @@ and 8,192 side by side in the one block row of a 65536x8 one.  Every block
 reads q = 0 (bit 0) or q = +inf (bit 1), so the round trip is exact, and a
 read that long is split across CPUs where more than one is usable.  Each
 round trip runs again on the headerless ``--raw`` grid of the same pixels,
-which must come out as the marked PGM's raster.  An ``embed`` and a
+which must come out as the marked PGM's raster, and once more from the
+message written in CRLF lines, which must give the same stego and bits.
+``stat-extract`` takes no ``--k``, and a flag counts only under its full
+name, so ``stat-extract ... --k 10`` must exit 2 with nothing on stdout
+rather than be read as ``--key 10``.  An ``embed`` and a
 ``stat-embed`` whose ``--out`` name is not UTF-8 run with
 ``PYTHONIOENCODING=utf-8``, a strict UTF-8 stdout: each must succeed and
 print the name's own bytes in its ``wrote`` line.  Seven inputs are refused
@@ -129,6 +133,14 @@ def main() -> None:
 
         rng = random.Random(16)
         marked, message = stat_round_trip(work, 1024, 1024, rng)
+        crlf, crlf_marked = work / "bits-crlf.txt", work / "marked-crlf.pgm"
+        crlf.write_bytes(b"".join(message[i : i + 64].encode("ascii") + b"\r\n" for i in range(0, len(message), 64)))
+        pestego("stat-embed", "--in", work / "gray1024.pgm", "--key", "smoke", "--payload", crlf, "--out", crlf_marked)
+        check(crlf_marked.read_bytes() == marked.read_bytes(), "a CRLF message embeds as its LF twin does")
+        read = pestego("stat-extract", "--in", crlf_marked, "--key", "smoke", "--bits", len(message))
+        check(read == f"bits: {message}\n", "stat-extract reads back every bit of a CRLF message")
+        no_k = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", 1, "--k", 10, expect=2)
+        check(no_k == "", "stat-extract refuses --k, which it does not take, and prints nothing")
         stat_flags = ("--in", marked, "--key", "smoke", "--payload", work / "bits.txt")
         wrote_name_not_utf8("stat-embed", *stat_flags, out=os.fsencode(work) + b"/\xff.pgm")
         strict = pestego("stat-extract", "--in", marked, "--key", "smoke", "--bits", len(message), "--alpha", "1e-3")

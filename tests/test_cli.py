@@ -315,6 +315,44 @@ def test_stat_commands_refuse_infeasible_params_alike(capsys, tmp_path, carrier_
     assert not (tmp_path / "o.pgm").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stat-extract", "--bits", 1, "--k", 10),  # argparse's prefix rule would read it as --key 10
+        ("stat-extract", "--bits", 1, "--bl", "4x6"),
+        ("stat-embed", "--payload", "bits.txt", "--out", "o.pgm", "--alph", "0.5"),
+    ],
+    ids=["stat-extract-k", "stat-extract-bl", "stat-embed-alph"],
+)
+def test_a_flag_counts_only_under_its_full_name(monkeypatch, capsys, tmp_path, carrier_pgm, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bits.txt").write_text("1")
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--in", str(carrier_pgm), "--key", "k", *map(str, rest)])
+    out, err = capsys.readouterr()
+    assert (exited.value.code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(map(str, rest[-2:]))}\n")
+    assert not (tmp_path / "o.pgm").exists()
+
+
+def test_flag_equals_value_still_parses(capsys, carrier_pgm):
+    spaced = run(capsys, "stat-extract", "--in", carrier_pgm, "--key", "k", "--bits", 4, "--block", "4x6", "--csv")
+    joined = run(capsys, "stat-extract", f"--in={carrier_pgm}", "--key=k", "--bits=4", "--block=4x6", "--csv")
+    assert joined == spaced and spaced[0] == 0
+
+
+def test_stat_embed_reads_a_crlf_message_as_its_lf_twin(capsys, tmp_path, carrier_pgm):
+    stego = {}
+    for name, content in (("lf", b"0110\n1001\n"), ("crlf", b"0110\r\n1001\r\n")):
+        (tmp_path / name).write_bytes(content)
+        argv = ("stat-embed", "--in", carrier_pgm, "--key", "k", "--payload", tmp_path / name)
+        code, out, _ = run(capsys, *argv, "--out", tmp_path / f"{name}.pgm")
+        assert code == 0 and out.startswith("embedded 8 bits")
+        stego[name] = (tmp_path / f"{name}.pgm").read_bytes()
+    assert stego["crlf"] == stego["lf"]
+
+
 @pytest.fixture(scope="module")
 def stat_files(tmp_path_factory):
     """A 64x64 PGM carrier and a one-bit message, shared by the examples of a property."""
@@ -620,6 +658,14 @@ REFUSALS = [
         ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "latin-1.txt", "--out", "out.pgm"), 2,
         "message text may only contain 0, 1 and whitespace", id="message-not-utf8",
     ),
+    pytest.param(
+        ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "ff.txt", "--out", "out.pgm"), 2,
+        "message text may only contain 0, 1 and whitespace", id="message-byte-0xff",
+    ),
+    pytest.param(
+        ("stat-embed", "--in", "carrier.pgm", "--key", "k", "--payload", "bom.txt", "--out", "out.pgm"), 2,
+        "message text may only contain 0, 1 and whitespace", id="message-utf-8-bom",
+    ),
 ]
 
 
@@ -645,6 +691,8 @@ def refusal_files(monkeypatch, tmp_path, carrier_pgm, spec_pe):
         "bits.txt": b"1",
         "grid.bin": bytes(64000),
         "latin-1.txt": b"1\xe90",  # "1é0" in Latin-1
+        "ff.txt": b"01\xff10",
+        "bom.txt": b"\xef\xbb\xbf0110",  # a UTF-8 BOM is U+FEFF, which is no whitespace
         "caf\udce9.txt": b"secret",  # the file name b"caf\xe9.txt"
         "cover.exe": data,
         "mz10.exe": b"MZ" + bytes(8),
@@ -676,6 +724,7 @@ ONE_BLOCK, PE_IMAGE = Carrier(8, 8, bytes(64)), parse_pe(build_pe().data)
     [
         pytest.param(lambda: derive_pattern(b"k", HUGE + 1), OddBlockLengthError, id="pattern-odd"),
         pytest.param(lambda: derive_pattern(b"k", -HUGE), ValueError, id="pattern-short"),
+        pytest.param(lambda: derive_pattern(b"k", HUGE), ValueError, id="pattern-long"),
         pytest.param(lambda: StatParams(k=-HUGE), ValueError, id="params-k"),
         pytest.param(lambda: StatParams(alpha=HUGE), ValueError, id="params-alpha"),
         # 1.0 - a Fraction is a float sum, so 1/10**4000 rounds to nothing

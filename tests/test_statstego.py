@@ -27,7 +27,7 @@ from pestego import (
     normal_quantile,
 )
 from pestego.errors import _shown
-from pestego.statstego import _shape
+from pestego.statstego import _MAX_BLOCK_LEN, _shape
 
 
 class TestPattern:
@@ -50,6 +50,11 @@ class TestPattern:
     def test_too_short(self):
         with pytest.raises(ValueError):
             derive_pattern(b"key", 0)
+
+    def test_too_long(self):
+        """One even length past the largest block StatParams accepts is refused, before the mask is allocated."""
+        with pytest.raises(ValueError, match=f"^block length {_MAX_BLOCK_LEN + 2} exceeds {_MAX_BLOCK_LEN},"):
+            derive_pattern(b"key", _MAX_BLOCK_LEN + 2)
 
     def test_keys_differ(self):
         assert derive_pattern(b"key-a", 64) != derive_pattern(b"key-b", 64)
@@ -270,6 +275,8 @@ INVALID_CHANGES = [
     pytest.param(StatParams, {"k": 0}, ValueError, id="StatParams-k"),
     pytest.param(StatParams, {"block_rows": 1, "block_cols": 2}, BlockTooSmallError, id="StatParams-block"),
     pytest.param(MessageLayout, {"message_bits": (0, 2)}, ValueError, id="MessageLayout-bits"),
+    pytest.param(MessageLayout, {"message_bits": (0.0, 1.0)}, ValueError, id="MessageLayout-floats"),
+    pytest.param(MessageLayout, {"message_bits": "01"}, ValueError, id="MessageLayout-text"),
 ]
 
 # Each way to build a value from (type, valid fields, fields).  Copy and pickle
