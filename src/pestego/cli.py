@@ -176,7 +176,7 @@ def cmd_stat_embed(args) -> tuple[int, list[str]]:
     stego = pestego.embed_message(carrier, key, layout, params)
     pestego.write_carrier(args.outfile, stego, bool(args.raw))
     return EXIT_OK, [
-        f"embedded {layout.block_count} bits into {params.block_cols}x{params.block_rows} blocks (k={params.k})",
+        f"embedded {len(layout.message_bits)} bits into {params.block_cols}x{params.block_rows} blocks (k={params.k})",
         f"wrote {args.outfile}",
     ]
 

@@ -56,7 +56,7 @@ def _diff_regions(before: bytes, after: bytes) -> tuple[Region, ...]:
 def compare(before: bytes, after: bytes) -> EquivalenceReport:
     """Byte-diff two PE files and judge whether the change is slack-confined."""
     cover = parse_pe(before)
-    parse_pe(after)  # both sides must be valid PE; result layout comes from the cover
+    stego = parse_pe(after)  # both sides must be valid PE; the layout comes from the cover, CheckSums from both
 
     regions = _diff_regions(before, after)
     header_span = cover.header_end_offset
@@ -70,9 +70,15 @@ def compare(before: bytes, after: bytes) -> EquivalenceReport:
     notes: list[str] = []
     if len(before) != len(after):
         notes.append(f"file length changed: {len(before)} -> {len(after)} bytes")
-    if cover.nt_headers.checksum != 0:
+    checksum, stego_checksum = cover.nt_headers.checksum, stego.nt_headers.checksum
+    if checksum != stego_checksum:
         notes.append(
-            f"optional-header CheckSum is nonzero (0x{cover.nt_headers.checksum:08X}) and was left"
+            f"optional-header CheckSum changed from 0x{checksum:08X} to 0x{stego_checksum:08X};"
+            " some loaders verify it for drivers"
+        )
+    elif checksum != 0:
+        notes.append(
+            f"optional-header CheckSum is nonzero (0x{checksum:08X}) and was left"
             " unchanged; some loaders verify it for drivers"
         )
     return EquivalenceReport(

@@ -135,7 +135,7 @@ def hide(image: PeImage, name: str, data: bytes, *, force: bool = False) -> PeIm
         raise InsufficientSlackError(
             f"record of {len(record)} bytes does not fit header slack of {region.length} bytes"
         )
-    existing = image.read(region.offset, region.length)
+    existing = image.data[region.offset : region.end]
     if not force and any(existing):
         kind = "an existing payload record" if existing[:4] == MAGIC else "non-zero bytes"
         raise SlackOccupiedError(f"header slack holds {kind}; pass force to overwrite")
@@ -148,7 +148,7 @@ def hide(image: PeImage, name: str, data: bytes, *, force: bool = False) -> PeIm
 def retract(image: PeImage) -> tuple[str, bytes]:
     """Recover (name, data) hidden by :func:`hide`; verifies the CRC."""
     region = header_slack(image)
-    record = PayloadRecord.decode(image.read(region.offset, region.length))
+    record = PayloadRecord.decode(image.data[region.offset : region.end])
     return record.name, record.data
 
 

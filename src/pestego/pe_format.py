@@ -86,10 +86,6 @@ class PeImage(namedtuple("PeImage", "data nt_headers sections nt_offset warnings
     __slots__ = ()
 
     @property
-    def size(self) -> int:
-        return len(self.data)
-
-    @property
     def header_end_offset(self) -> int:
         """File offset of the first byte after the section header table."""
         return (
@@ -99,11 +95,6 @@ class PeImage(namedtuple("PeImage", "data nt_headers sections nt_offset warnings
             + self.nt_headers.size_of_optional_header
             + SECTION_HEADER_SIZE * self.nt_headers.number_of_sections
         )
-
-    def read(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0 or offset + length > len(self.data):
-            raise ValueError(f"read [{_shown(offset)}, {_shown(offset + length)}) outside file of {len(self.data)} bytes")
-        return self.data[offset : offset + length]
 
     def __repr__(self) -> str:
         return (
@@ -209,6 +200,8 @@ def serialize(image: PeImage) -> bytes:
 
 def rva_to_va(image_base: int, rva: int) -> int:
     """Absolute virtual address of an RVA under the given load base."""
+    if image_base < 0 or rva < 0:
+        raise ValueError(f"image base {_shown(image_base)} and RVA {_shown(rva)} must be non-negative")
     va = image_base + rva
     if va >= ADDRESS_LIMIT_32:
         raise OverflowError(f"0x{image_base:X} + 0x{rva:X} exceeds the 32-bit address space")
@@ -226,7 +219,7 @@ def header_slack(image: PeImage) -> Region:
     for sec in image.sections:
         if sec.size_of_raw_data:
             end = min(end, sec.pointer_to_raw_data)
-    end = min(end, image.size)
+    end = min(end, len(image.data))
     start = image.header_end_offset
     return Region(start, max(0, end - start))
 

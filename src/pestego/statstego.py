@@ -51,6 +51,18 @@ def _key_stream(key: bytes):
         yield z ^ (z >> 31)
 
 
+def _wrong_type(name: str, wanted: str, value) -> ValueError:
+    return ValueError(f"{name} must be {wanted}, got {type(value).__name__}")
+
+
+def _require_integers(value, *names: str) -> None:
+    """Refuse a field whose type lacks __index__ (numpy's ints have it) or is bool, which counts nothing."""
+    for name in names:
+        field = getattr(value, name)
+        if isinstance(field, bool) or not hasattr(type(field), "__index__"):
+            raise _wrong_type(name, "an integer", field)
+
+
 class _Checked:
     """Validated namedtuple base: every way to build one runs the subclass's _check.
 
@@ -75,13 +87,12 @@ class KeyPattern(_Checked, namedtuple("KeyPattern", "bits")):
     __slots__ = ()
 
     def _check(self):
+        if not isinstance(self.bits, bytes):
+            raise _wrong_type("bits", "bytes", self.bits)
         if self.bits.translate(None, b"\x00\x01"):
             raise ValueError("pattern bits must be 0 or 1")
         if 2 * self.bits.count(1) != len(self.bits):
             raise ValueError("pattern must hold exactly as many ones as zeros")
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
@@ -115,6 +126,9 @@ class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
     __slots__ = ()
 
     def _check(self):
+        _require_integers(self, "width", "height")
+        if not isinstance(self.pixels, bytes):  # a bytearray could change size after this check
+            raise _wrong_type("pixels", "bytes", self.pixels)
         if self.width < 1 or self.height < 1:
             raise ValueError(f"carrier dimensions must be positive, got {_shape(self.width, self.height)}")
         if self.width * self.height > sys.maxsize:  # no bytes object holds them; refused before any text formats them
@@ -131,6 +145,7 @@ class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alp
 
     def _check(self):
         """Refuse every setting that embedding or detection could not use, so both refuse alike."""
+        _require_integers(self, "block_rows", "block_cols", "k")
         shape = _shape(self.block_cols, self.block_rows)
         if self.block_rows < 1 or self.block_cols < 1:
             raise ValueError(f"block dimensions must be positive, got {shape}")
@@ -161,20 +176,18 @@ class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alp
 
 
 class MessageLayout(_Checked, namedtuple("MessageLayout", "message_bits")):
-    """The bit sequence to embed (a tuple of ints), one bit per carrier block."""
+    """The bit sequence to embed (a tuple of ints, or bytes), one bit per carrier block."""
 
     __slots__ = ()
 
     def _check(self):
-        try:  # KeyPattern's rule; iter() refuses an int, which bytes() would take as a count of zero bytes
-            if bytes(iter(self.message_bits)).translate(None, b"\x00\x01"):
+        if not isinstance(self.message_bits, (tuple, bytes)):  # neither can change after this check
+            raise _wrong_type("message_bits", "a tuple or bytes", self.message_bits)
+        try:  # KeyPattern's rule
+            if bytes(self.message_bits).translate(None, b"\x00\x01"):
                 raise ValueError
         except (TypeError, ValueError):  # bytes() refuses a float, a str or a value past 255 with its own error
             raise ValueError("message bits must be 0 or 1") from None
-
-    @property
-    def block_count(self) -> int:
-        return len(self.message_bits)
 
     @classmethod
     def from_text(cls, text: str) -> "MessageLayout":
@@ -300,7 +313,7 @@ def _require_capacity(carrier: Carrier, params: StatParams, needed: int) -> None
 
 def embed_message(carrier: Carrier, key: bytes, bits: MessageLayout, params: StatParams) -> Carrier:
     """Embed one bit per block; blocks past the message and edge remainders stay bit-identical."""
-    _require_capacity(carrier, params, bits.block_count)
+    _require_capacity(carrier, params, len(bits.message_bits))
     grid = bytearray(carrier.pixels)
     shape, pattern = (params.block_rows, params.block_cols), derive_pattern(key, params.block_len).bits
     _raise_blocks(grid, carrier.width, shape, pattern, params.k, bytes(bits.message_bits))

@@ -31,6 +31,7 @@ from pestego import (
     detect_blocks,
     normal_quantile,
     parse_pe,
+    rva_to_va,
     section_slack,
 )
 from pestego.cli import main
@@ -735,8 +736,8 @@ ONE_BLOCK, PE_IMAGE = Carrier(8, 8, bytes(64)), parse_pe(build_pe().data)
         pytest.param(lambda: normal_quantile(HUGE), ValueError, id="quantile"),
         pytest.param(lambda: safe_file_name("a" * 100_000 + "/"), UnsafeNameError, id="unsafe-name"),
         pytest.param(lambda: capacity(PE_IMAGE, "a" * 100_000 + "\udcff"), NameTooLongError, id="name-not-utf8"),
-        pytest.param(lambda: PE_IMAGE.read(HUGE, 1), ValueError, id="read"),
         pytest.param(lambda: section_slack(PE_IMAGE, HUGE), IndexError, id="section-index"),
+        pytest.param(lambda: rva_to_va(0x400000, -HUGE), ValueError, id="rva"),
     ],
 )
 def test_library_refusal_cuts_a_long_value(call, error):

@@ -94,6 +94,18 @@ class TestCompare:
         assert any("CheckSum" in n for n in report.notes)
         assert report.diff_confined_to_slack
 
+    def test_changed_checksum_note(self):
+        """A CheckSum that differs between the files is named as changed, not as left unchanged."""
+        built = build_pe(header_slack=0x88, checksum=0x1234)
+        at = built.e_lfanew + 4 + 20 + 64  # the optional header's CheckSum
+        after = bytearray(built.data)
+        after[at : at + 4] = (0x9999).to_bytes(4, "little")
+        report = compare(built.data, bytes(after))
+        assert report.diff_regions == (Region(at, 2),)
+        assert report.notes == (
+            "optional-header CheckSum changed from 0x00001234 to 0x00009999; some loaders verify it for drivers",
+        )
+
     def test_parse_failure(self, spec_pe):
         with pytest.raises(PeFormatError):
             compare(b"XX" + spec_pe.data[2:], spec_pe.data)

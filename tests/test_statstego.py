@@ -40,7 +40,7 @@ class TestPattern:
     @given(key=st.binary(max_size=16), length=st.integers(1, 64).map(lambda n: 2 * n))
     def test_balance_any(self, key, length):
         pattern = derive_pattern(key, length)
-        assert len(pattern) == length
+        assert len(pattern.bits) == length
         assert pattern.bits.count(1) == length // 2
 
     def test_odd_length(self):
@@ -251,7 +251,7 @@ class TestParams:
 
     def test_layout_from_text(self):
         assert MessageLayout.from_text(" 01\n10 ").message_bits == (0, 1, 1, 0)
-        assert MessageLayout.from_text("").block_count == 0
+        assert MessageLayout.from_text("").message_bits == ()
         with pytest.raises(ValueError):
             MessageLayout.from_text("012")
         with pytest.raises(ValueError):
@@ -277,6 +277,17 @@ INVALID_CHANGES = [
     pytest.param(MessageLayout, {"message_bits": (0, 2)}, ValueError, id="MessageLayout-bits"),
     pytest.param(MessageLayout, {"message_bits": (0.0, 1.0)}, ValueError, id="MessageLayout-floats"),
     pytest.param(MessageLayout, {"message_bits": "01"}, ValueError, id="MessageLayout-text"),
+    pytest.param(StatParams, {"k": 2.5}, ValueError, id="StatParams-float-k"),
+    pytest.param(StatParams, {"k": True}, ValueError, id="StatParams-bool-k"),
+    pytest.param(StatParams, {"block_rows": 8.0}, ValueError, id="StatParams-float-shape"),
+    pytest.param(StatParams, {"block_rows": "8"}, ValueError, id="StatParams-text-shape"),
+    pytest.param(Carrier, {"width": 2.0}, ValueError, id="Carrier-float-width"),
+    pytest.param(Carrier, {"pixels": "ab"}, ValueError, id="Carrier-text-pixels"),
+    pytest.param(Carrier, {"pixels": bytearray(b"ab")}, ValueError, id="Carrier-bytearray"),
+    pytest.param(KeyPattern, {"bits": bytearray(b"\x01\x00")}, ValueError, id="KeyPattern-bytearray"),
+    pytest.param(KeyPattern, {"bits": (1, 0)}, ValueError, id="KeyPattern-tuple"),
+    pytest.param(MessageLayout, {"message_bits": [0, 1]}, ValueError, id="MessageLayout-list"),
+    pytest.param(MessageLayout, {"message_bits": bytearray(b"\x00\x01")}, ValueError, id="MessageLayout-bytearray"),
 ]
 
 # Each way to build a value from (type, valid fields, fields).  Copy and pickle
@@ -304,12 +315,53 @@ class TestValueTypes:
             build(cls, valid, invalid)
 
     @pytest.mark.parametrize("cls, valid", [pytest.param(*item, id=item[0].__name__) for item in VALID_FIELDS.items()])
+    def test_len_counts_the_fields(self, cls, valid):
+        assert len(cls(*valid)) == len(cls._fields)
+
+    @pytest.mark.parametrize("cls, valid", [pytest.param(*item, id=item[0].__name__) for item in VALID_FIELDS.items()])
     def test_valid_values_are_immutable_and_hashable(self, cls, valid):
         value = cls(*valid)
         assert value == cls(*valid) and hash(value) == hash(cls(*valid))
         for name in (*cls._fields, "other"):
             with pytest.raises(AttributeError):
                 setattr(value, name, valid[0])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: StatParams(k=2.5), "k must be an integer, got float", id="float-k"),
+            pytest.param(lambda: StatParams(k=True), "k must be an integer, got bool", id="bool-k"),
+            pytest.param(lambda: StatParams(8.0, 8), "block_rows must be an integer, got float", id="float-rows"),
+            pytest.param(lambda: StatParams(8, "8"), "block_cols must be an integer, got str", id="text-cols"),
+            pytest.param(lambda: Carrier(8.0, 8, bytes(64)), "width must be an integer, got float", id="float-width"),
+            pytest.param(
+                lambda: Carrier(8, np.True_, bytes(8)),
+                f"height must be an integer, got {np.bool_.__name__}",
+                id="numpy-bool",
+            ),
+            pytest.param(lambda: Carrier(8, 8, "a" * 64), "pixels must be bytes, got str", id="text-pixels"),
+            pytest.param(lambda: KeyPattern((1, 0)), "bits must be bytes, got tuple", id="tuple-bits"),
+            pytest.param(
+                lambda: MessageLayout([0, 1]), "message_bits must be a tuple or bytes, got list", id="list-bits"
+            ),
+        ],
+    )
+    def test_wrong_field_type_is_named(self, build, message):
+        with pytest.raises(ValueError) as refusal:
+            build()
+        assert str(refusal.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        eight, message = np.int64(8), MessageLayout((1,))
+        marked = embed_message(Carrier(eight, eight, bytes(64)), b"k", message, StatParams(eight, eight, np.int64(10)))
+        assert marked == embed_message(Carrier(8, 8, bytes(64)), b"k", message, StatParams(8, 8, 10))
+
+    def test_bytes_message_embeds_as_a_tuple_message(self):
+        carrier, params = Carrier(16, 8, bytes(range(128))), StatParams()
+        from_bytes, from_tuple = MessageLayout(bytes((0, 1))), MessageLayout((0, 1))
+        assert len({from_bytes, from_tuple}) == 2  # both hash; bytes never equal a tuple
+        marked = embed_message(carrier, b"k", from_bytes, params)
+        assert marked == embed_message(carrier, b"k", from_tuple, params) != carrier
 
 
 def pixel_grid(carrier: Carrier) -> np.ndarray:
