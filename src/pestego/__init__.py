@@ -36,7 +36,6 @@ _EXPORTS = {
         "header_slack",
         "parse_pe",
         "rva_to_va",
-        "section_slack",
         "serialize",
     ),
     "pgm": ("read_carrier", "write_carrier"),
@@ -49,7 +48,6 @@ _EXPORTS = {
         "derive_pattern",
         "detect_blocks",
         "embed_message",
-        "normal_quantile",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -93,8 +93,8 @@ def cmd_inspect(args) -> tuple[int, list[str]]:
         "sections:",
         "  name      vaddr       vsize       rawptr      rawsize     slack",
     ]
-    for i, sec in enumerate(image.sections):
-        s = pestego.section_slack(image, i)
+    for sec in image.sections:
+        s = sec.slack()
         tail = f"{s.length} bytes @ 0x{s.offset:X}" if s.length else "-"
         lines.append(
             f"  {sec.display_name():<8}  0x{sec.virtual_address:08X}  0x{sec.virtual_size:08X}"

@@ -1,8 +1,7 @@
 # Exception hierarchy shared by all pestego modules, and how a refusal shows an input value.
 #
 # Plain Python builtins are used where they are the natural contract:
-# OverflowError (32-bit address overflow), IndexError (bad section index),
-# OSError (file I/O failures).
+# OverflowError (32-bit address overflow), OSError (file I/O failures).
 
 
 def _shown(value) -> str:

@@ -73,6 +73,11 @@ class SectionHeader(namedtuple("SectionHeader", "name virtual_size virtual_addre
     def raw_region(self) -> Region:
         return Region(self.pointer_to_raw_data, self.size_of_raw_data)
 
+    def slack(self) -> Region:
+        """Unused tail of the raw data (SizeOfRawData past VirtualSize); empty, at the raw data's end, if none."""
+        used = min(self.virtual_size, self.size_of_raw_data)
+        return Region(self.pointer_to_raw_data + used, self.size_of_raw_data - used)
+
 
 class PeImage(namedtuple("PeImage", "data nt_headers sections nt_offset warnings")):
     """Parsed model of a 32-bit PE file plus its full raw bytes.
@@ -223,12 +228,3 @@ def header_slack(image: PeImage) -> Region:
     start = image.header_end_offset
     return Region(start, max(0, end - start))
 
-
-def section_slack(image: PeImage, index: int) -> Region:
-    """Unused tail of a section's raw data (SizeOfRawData past VirtualSize)."""
-    if not 0 <= index < len(image.sections):
-        raise IndexError(f"section index {_shown(index)} out of range (have {len(image.sections)})")
-    sec = image.sections[index]
-    if sec.size_of_raw_data > sec.virtual_size:
-        return Region(sec.pointer_to_raw_data + sec.virtual_size, sec.size_of_raw_data - sec.virtual_size)
-    return Region(sec.pointer_to_raw_data + sec.size_of_raw_data, 0)

@@ -171,8 +171,10 @@ class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alp
 
     @property
     def z_alpha(self) -> float:
-        """One-sided decision threshold, the upper normal quantile."""
-        return normal_quantile(1.0 - self.alpha)
+        """One-sided decision threshold, the upper normal quantile: Phi(z_alpha) = 1 - alpha."""
+        from statistics import NormalDist  # about 4 ms to import (-X importtime, python -B); only detection needs it
+
+        return NormalDist().inv_cdf(1.0 - self.alpha)
 
 
 class MessageLayout(_Checked, namedtuple("MessageLayout", "message_bits")):
@@ -335,11 +337,3 @@ def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatPara
     q = _block_q(carrier.pixels, carrier.width, shape, derive_pattern(key, params.block_len).bits, first, bit_count)
     return q, array("B", map(params.z_alpha.__lt__, q))
 
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile z with Phi(z) = p, for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {_shown(p)}")
-    from statistics import NormalDist  # about 4 ms to import (-X importtime, python -B); only detection needs it
-
-    return NormalDist().inv_cdf(p)

@@ -29,10 +29,8 @@ from pestego import (
     cli,
     derive_pattern,
     detect_blocks,
-    normal_quantile,
     parse_pe,
     rva_to_va,
-    section_slack,
 )
 from pestego.cli import main
 from pestego.payload import safe_file_name
@@ -733,10 +731,8 @@ ONE_BLOCK, PE_IMAGE = Carrier(8, 8, bytes(64)), parse_pe(build_pe().data)
         pytest.param(lambda: detect_blocks(ONE_BLOCK, b"k", HUGE, StatParams()), CarrierTooSmallError, id="capacity"),
         pytest.param(lambda: detect_blocks(ONE_BLOCK, b"k", -HUGE, StatParams()), ValueError, id="bit-count"),
         pytest.param(lambda: detect_blocks(ONE_BLOCK, b"k", 0, StatParams(), -HUGE), ValueError, id="first-block"),
-        pytest.param(lambda: normal_quantile(HUGE), ValueError, id="quantile"),
         pytest.param(lambda: safe_file_name("a" * 100_000 + "/"), UnsafeNameError, id="unsafe-name"),
         pytest.param(lambda: capacity(PE_IMAGE, "a" * 100_000 + "\udcff"), NameTooLongError, id="name-not-utf8"),
-        pytest.param(lambda: section_slack(PE_IMAGE, HUGE), IndexError, id="section-index"),
         pytest.param(lambda: rva_to_va(0x400000, -HUGE), ValueError, id="rva"),
     ],
 )

@@ -27,7 +27,6 @@ from pestego import (
     hide,
     parse_pe,
     retract,
-    section_slack,
     serialize,
 )
 from pestego.pgm import decode_pgm, encode_pgm
@@ -88,8 +87,8 @@ def test_pe_library(data):
         return
     assert serialize(image) == data
     assert Region(0, len(data)).contains(header_slack(image))  # so slicing data by the slack never runs past it
-    for index in range(len(image.sections)):
-        section_slack(image, index)
+    for sec in image.sections:
+        sec.slack()
     capacity(image, "p.bin")
     domain_errors_only(retract, image)
     domain_errors_only(hide, image, "q.bin", b"fuzz", force=True)

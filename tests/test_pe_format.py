@@ -29,7 +29,6 @@ from pestego import (
     header_slack,
     parse_pe,
     rva_to_va,
-    section_slack,
     serialize,
 )
 
@@ -236,22 +235,17 @@ class TestSlack:
         built = build_pe(header_slack=0x88, sections=[SectionPlan(raw_size=0x200, virtual_size=0x123)])
         image = parse_pe(built.data)
         ptr = built.sections[0].pointer_to_raw_data
-        assert section_slack(image, 0) == Region(ptr + 0x123, 0xDD)
+        assert image.sections[0].slack() == Region(ptr + 0x123, 0xDD)
 
     def test_section_slack_zero(self, spec_pe):
         image = parse_pe(spec_pe.data)
-        assert section_slack(image, 0).length == 0
-
-    def test_section_index_out_of_range(self, spec_pe):
-        image = parse_pe(spec_pe.data)
-        with pytest.raises(IndexError):
-            section_slack(image, 1)
+        assert image.sections[0].slack().length == 0
 
     def test_slack_regions_disjoint(self, corpus):
         for built in corpus:
             image = parse_pe(built.data)
             regions = [header_slack(image)]
-            regions += [section_slack(image, i) for i in range(len(image.sections))]
+            regions += [sec.slack() for sec in image.sections]
             used = [Region(0, image.header_end_offset)]
             used += [
                 Region(s.pointer_to_raw_data, min(s.virtual_size, s.size_of_raw_data))

@@ -24,7 +24,6 @@ from pestego import (
     derive_pattern,
     detect_blocks,
     embed_message,
-    normal_quantile,
 )
 from pestego.errors import _shown
 from pestego.statstego import _MAX_BLOCK_LEN, _shape
@@ -167,25 +166,20 @@ class TestDetect:
 
 
 class TestQuantile:
-    @given(p=st.floats(1e-9, 1 - 1e-9))
-    def test_against_scipy(self, p):
-        assert normal_quantile(p) == pytest.approx(float(norm.ppf(p)), abs=1e-6)
+    @given(alpha=st.floats(1e-9, 1 - 1e-9))
+    def test_against_scipy(self, alpha):
+        assert StatParams(alpha=alpha).z_alpha == pytest.approx(float(norm.ppf(1 - alpha)), abs=1e-6)
 
-    @given(p=st.floats(1e-9, 1 - 1e-9))
-    def test_cdf_roundtrip(self, p):
-        assert oracles.normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-8)
+    @given(alpha=st.floats(1e-9, 1 - 1e-9))
+    def test_cdf_roundtrip(self, alpha):
+        assert oracles.normal_cdf(StatParams(alpha=alpha).z_alpha) == pytest.approx(1 - alpha, abs=1e-8)
 
     def test_symmetry(self):
-        assert normal_quantile(0.025) == pytest.approx(-normal_quantile(0.975), abs=1e-12)
-
-    def test_domain(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                normal_quantile(p)
+        assert StatParams(alpha=0.975).z_alpha == pytest.approx(-StatParams(alpha=0.025).z_alpha, abs=1e-12)
 
     def test_z_alpha_invariant(self):
         for alpha in (0.05, 0.01, 0.001):
-            assert StatParams(alpha=alpha).z_alpha == normal_quantile(1 - alpha)
+            assert StatParams(alpha=alpha).z_alpha == pytest.approx(float(norm.ppf(1 - alpha)), abs=1e-6)
         assert StatParams(alpha=0.05).z_alpha == pytest.approx(1.6449, abs=1e-4)
 
 
