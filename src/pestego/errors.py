@@ -1,7 +1,9 @@
-# Exception hierarchy shared by all pestego modules, and how a refusal shows an input value.
+# Exception hierarchy shared by all pestego modules, how a refusal shows an input value, and the integer rule.
 #
 # Plain Python builtins are used where they are the natural contract:
 # OverflowError (32-bit address overflow), OSError (file I/O failures).
+
+import operator
 
 
 def _shown(value) -> str:
@@ -14,6 +16,18 @@ def _shown(value) -> str:
     cut = max(0, (value.bit_length() - 1) * 30103 // 100000 - 40) if isinstance(value, int) else 0
     text = "-" * (value < 0) + str(abs(value) // 10**cut) if cut else str(value)
     return text if len(text) <= 32 else f"{text[:32]} (first 32 of {len(text) + cut} characters)"
+
+
+def _wrong_type(name: str, wanted: str, value) -> ValueError:
+    return ValueError(f"{name} must be {wanted}, got {type(value).__name__}")
+
+
+def _integer(name: str, value) -> int:
+    """value as a plain int, so arithmetic on it never wraps; refused unless its type has __index__ (numpy's ints
+    have it) and is not bool, which counts nothing."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise _wrong_type(name, "an integer", value)
+    return operator.index(value)
 
 
 class PeStegoError(Exception):

@@ -18,6 +18,7 @@ from .errors import (
     NotPeError,
     StrictParseError,
     TruncatedError,
+    _integer,
     _shown,
 )
 
@@ -205,11 +206,12 @@ def serialize(image: PeImage) -> bytes:
 
 def rva_to_va(image_base: int, rva: int) -> int:
     """Absolute virtual address of an RVA under the given load base."""
+    image_base, rva = _integer("image_base", image_base), _integer("rva", rva)
     if image_base < 0 or rva < 0:
         raise ValueError(f"image base {_shown(image_base)} and RVA {_shown(rva)} must be non-negative")
     va = image_base + rva
     if va >= ADDRESS_LIMIT_32:
-        raise OverflowError(f"0x{image_base:X} + 0x{rva:X} exceeds the 32-bit address space")
+        raise OverflowError(f"image base {_shown(image_base)} + RVA {_shown(rva)} exceeds the 32-bit address space")
     return va
 
 

@@ -25,12 +25,15 @@ import struct
 import sys
 from array import array
 from collections import namedtuple
+from numbers import Real
 
 from .errors import (
     BlockTooSmallError,
     CarrierTooSmallError,
     OddBlockLengthError,
+    _integer,
     _shown,
+    _wrong_type,
 )
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -51,28 +54,19 @@ def _key_stream(key: bytes):
         yield z ^ (z >> 31)
 
 
-def _wrong_type(name: str, wanted: str, value) -> ValueError:
-    return ValueError(f"{name} must be {wanted}, got {type(value).__name__}")
-
-
-def _require_integers(value, *names: str) -> None:
-    """Refuse a field whose type lacks __index__ (numpy's ints have it) or is bool, which counts nothing."""
-    for name in names:
-        field = getattr(value, name)
-        if isinstance(field, bool) or not hasattr(type(field), "__index__"):
-            raise _wrong_type(name, "an integer", field)
-
-
 class _Checked:
-    """Validated namedtuple base: every way to build one runs the subclass's _check.
+    """Validated namedtuple base: every way to build one stores each field named in _integers as a plain int, by
+    errors._integer's rule, then runs the subclass's _check.
 
     The call, copy and pickle reach __new__; _make, and with it _replace, calls the class.
     """
 
     __slots__ = ()
+    _integers = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        fields = zip(cls._fields, super().__new__(cls, *args, **kwargs))
+        self = tuple.__new__(cls, [_integer(name, value) if name in cls._integers else value for name, value in fields])
         self._check()
         return self
 
@@ -97,6 +91,7 @@ class KeyPattern(_Checked, namedtuple("KeyPattern", "bits")):
 
 def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
     """Deterministically derive the balanced mask for (key, block_len)."""
+    block_len = _integer("block_len", block_len)
     if block_len % 2:
         raise OddBlockLengthError(f"block length {_shown(block_len)} is odd; patterns need an even length")
     if block_len < 2:
@@ -124,9 +119,9 @@ class Carrier(_Checked, namedtuple("Carrier", "width height pixels")):
     """Rectangular 8-bit carrier, pixels row-major."""
 
     __slots__ = ()
+    _integers = ("width", "height")
 
     def _check(self):
-        _require_integers(self, "width", "height")
         if not isinstance(self.pixels, bytes):  # a bytearray could change size after this check
             raise _wrong_type("pixels", "bytes", self.pixels)
         if self.width < 1 or self.height < 1:
@@ -142,10 +137,10 @@ class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alp
     """Embedding strength and detection threshold settings."""
 
     __slots__ = ()
+    _integers = ("block_rows", "block_cols", "k")
 
     def _check(self):
         """Refuse every setting that embedding or detection could not use, so both refuse alike."""
-        _require_integers(self, "block_rows", "block_cols", "k")
         shape = _shape(self.block_cols, self.block_rows)
         if self.block_rows < 1 or self.block_cols < 1:
             raise ValueError(f"block dimensions must be positive, got {shape}")
@@ -160,6 +155,8 @@ class StatParams(_Checked, namedtuple("StatParams", "block_rows block_cols k alp
             )
         if self.k < 1:
             raise ValueError(f"strength k must be a positive integer, got {_shown(self.k)}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
+            raise _wrong_type("alpha", "a real number", self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {_shown(self.alpha)}")
         if 1.0 - self.alpha == 1.0:
@@ -328,6 +325,7 @@ def detect_blocks(carrier: Carrier, key: bytes, bit_count: int, params: StatPara
     q standardizes the C-minus-D mean difference by unbiased sample variances; a block with
     no spread gives 0, or a signed infinity if the means differ.  A bit is 1 iff q > z_alpha.
     """
+    bit_count, first = _integer("bit_count", bit_count), _integer("first", first)
     if bit_count < 0:
         raise ValueError(f"bit count must be non-negative, got {_shown(bit_count)}")
     if first < 0:

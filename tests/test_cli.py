@@ -734,6 +734,7 @@ ONE_BLOCK, PE_IMAGE = Carrier(8, 8, bytes(64)), parse_pe(build_pe().data)
         pytest.param(lambda: safe_file_name("a" * 100_000 + "/"), UnsafeNameError, id="unsafe-name"),
         pytest.param(lambda: capacity(PE_IMAGE, "a" * 100_000 + "\udcff"), NameTooLongError, id="name-not-utf8"),
         pytest.param(lambda: rva_to_va(0x400000, -HUGE), ValueError, id="rva"),
+        pytest.param(lambda: rva_to_va(0, HUGE), OverflowError, id="rva-overflow"),
     ],
 )
 def test_library_refusal_cuts_a_long_value(call, error):

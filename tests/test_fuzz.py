@@ -4,13 +4,20 @@ Each example starts from a well-formed PE file, SPE1 record or PGM and
 applies a few byte flips, truncations and extensions.  Library calls may
 raise only ``PeStegoError`` or ``ValueError``; ``main()`` must return one of
 the exit codes its command documents.  Anything else fails the test with
-the traceback that escaped.
+the traceback that escaped.  The value types and the functions that take a
+count or an address get any mix of numbers, numpy integers and non-numbers.
 """
 
 from __future__ import annotations
 
+import operator
+import warnings
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pe_builder import SectionPlan, build_pe
@@ -18,15 +25,22 @@ from test_cli import quiet_main
 
 from pestego import (
     Carrier,
+    KeyPattern,
+    MessageLayout,
     PayloadRecord,
     PeStegoError,
     Region,
+    StatParams,
     capacity,
     compare,
+    derive_pattern,
+    detect_blocks,
+    embed_message,
     header_slack,
     hide,
     parse_pe,
     retract,
+    rva_to_va,
     serialize,
 )
 from pestego.pgm import decode_pgm, encode_pgm
@@ -120,3 +134,108 @@ def test_pgm(folder, data):
     path = folder / "input.pgm"
     path.write_bytes(data)
     assert quiet_main("stat-extract", "--in", path, "--key", "k", "--bits", 4) in (0, 2, 7)
+
+
+# ints around the ranges that count, past 32 and 64 bits and past int()'s digit limit, the same as numpy.int64
+# where they fit, and values that are not integers
+NUMBERS = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([2**32, 2**63, 10**5000]),
+    st.integers(-3, 40).map(np.int64),
+    st.just(np.int64(2**32)),
+    st.floats(),
+    st.floats(0, 1).map(np.float64),
+    st.booleans(),
+    st.fractions(-2, 2, max_denominator=10**6),
+    st.decimals(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+)
+FITS = object()  # pixels: as many bytes as width x height, when that is a small count
+CARRIER = Carrier(64, 64, bytes(range(256)) * 16)
+SMALL_BLOCKS = StatParams(2, 2)
+CALLS = {
+    "StatParams": StatParams,
+    "Carrier": Carrier,
+    "MessageLayout": MessageLayout,
+    "KeyPattern": KeyPattern,
+    "derive_pattern": lambda block_len: derive_pattern(b"k", block_len),
+    "rva_to_va": rva_to_va,
+    "detect_blocks": lambda bit_count, first: detect_blocks(CARRIER, b"k", bit_count, SMALL_BLOCKS, first),
+}
+INTEGER_FIELDS = {StatParams: ("block_rows", "block_cols", "k"), Carrier: ("width", "height")}
+
+
+def counts(value) -> bool:
+    """The integer rule: a type with __index__ (numpy's ints have it) that is not bool."""
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
+@st.composite
+def calls(draw):
+    name = draw(st.sampled_from(sorted(CALLS)))
+    arity = {"StatParams": 4, "Carrier": 3, "rva_to_va": 2, "detect_blocks": 2}.get(name, 1)
+    args = [draw(NUMBERS) for _ in range(arity)]
+    if name == "Carrier" and draw(st.booleans()):
+        args[2] = FITS
+    return name, tuple(args)
+
+
+def use(value) -> None:
+    """Embed into and detect from a small carrier with a value that built."""
+    carrier, params, message = CARRIER, SMALL_BLOCKS, MessageLayout((1, 0))
+    if isinstance(value, StatParams):
+        params, message = value, MessageLayout((1,))
+    elif isinstance(value, Carrier):
+        carrier = value
+    elif isinstance(value, MessageLayout):
+        message = value
+    marked = domain_errors_only(embed_message, carrier, b"k", message, params)
+    domain_errors_only(detect_blocks, marked or carrier, b"k", len(message.message_bits), params)
+
+
+@settings(max_examples=500)
+@given(call=calls())
+@example(call=("StatParams", (2, 4, 10**5000, Fraction(1, 3))))
+@example(call=("MessageLayout", (b"\x01\x00\x01",)))
+@example(call=("KeyPattern", (b"\x00\x01",)))
+@example(call=("derive_pattern", (np.int64(40),)))
+@example(call=("Carrier", (np.int64(2**32), np.int64(2**32), b"")))
+@example(call=("StatParams", (np.int64(2**32), np.int64(2**32), 10, 0.05)))
+@example(call=("Carrier", (np.int64(8), np.int64(8), FITS)))
+@example(call=("StatParams", (np.int64(8), np.int64(8), np.int64(10), 0.05)))
+@example(call=("StatParams", (8, 8, 10, "0.05")))
+@example(call=("StatParams", (8, 8, 10, Decimal("0.05"))))
+@example(call=("StatParams", (8, 8, 10, Fraction(1, 20))))
+@example(call=("derive_pattern", (8.0,)))
+@example(call=("detect_blocks", (1.0, 0)))
+@example(call=("detect_blocks", (0, 0.5)))
+@example(call=("rva_to_va", (0x400000, 0.5)))
+@example(call=("rva_to_va", (0x400000, True)))
+@example(call=("rva_to_va", (0, 10**5000)))
+@example(call=("rva_to_va", (np.int64(2**62), np.int64(2**62))))
+def test_numbers_and_counts(call):
+    """Any argument ends in a value or a short domain refusal, never a TypeError, an AttributeError, a MemoryError
+    or a numpy warning; a value stores its integer fields as int, and a count or address that is not one is refused."""
+    name, args = call
+    if args[-1] is FITS:
+        try:
+            pixels = bytes(operator.index(args[0]) * operator.index(args[1]) % 2**12)
+        except TypeError:
+            pixels = b""
+        args = (*args[:2], pixels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = CALLS[name](*args)
+        except (PeStegoError, ValueError, OverflowError) as refusal:
+            assert type(refusal) is not OverflowError or name == "rva_to_va"
+            assert len(str(refusal)) < 512  # one short line, as the command line's refusals are
+            return
+        for field in INTEGER_FIELDS.get(type(value), ()):
+            assert type(getattr(value, field)) is int
+        if name in ("derive_pattern", "rva_to_va", "detect_blocks"):
+            assert all(map(counts, args))
+        if name == "rva_to_va":
+            assert type(value) is int and value == operator.index(args[0]) + operator.index(args[1])
+        use(value)

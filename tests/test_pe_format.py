@@ -4,6 +4,7 @@ import pickle
 import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -208,6 +209,25 @@ class TestAddresses:
     def test_rva_to_va_negative(self, base, rva):
         with pytest.raises(ValueError, match=f"^image base {base} and RVA {rva} must be non-negative$"):
             rva_to_va(base, rva)
+
+    @pytest.mark.parametrize(
+        "base, rva, message",
+        [
+            pytest.param(0x400000, 0.5, "rva must be an integer, got float", id="float-rva"),
+            pytest.param(0x400000, True, "rva must be an integer, got bool", id="bool-rva"),
+            pytest.param("0x400000", 0x1000, "image_base must be an integer, got str", id="text-base"),
+        ],
+    )
+    def test_rva_to_va_refuses_a_non_integer(self, base, rva, message):
+        with pytest.raises(ValueError) as refusal:
+            rva_to_va(base, rva)
+        assert str(refusal.value) == message
+
+    def test_rva_to_va_adds_numpy_integers_as_int(self):
+        va = rva_to_va(np.int64(0x00400000), np.uint32(0x1000))
+        assert type(va) is int and va == 0x00401000
+        with pytest.raises(OverflowError, match="^image base 4611686018427387904 \\+ RVA 4611686018427387904 exceeds"):
+            rva_to_va(np.int64(2**62), np.int64(2**62))
 
 
 class TestSlack:

@@ -3,6 +3,9 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +166,35 @@ class TestDetect:
         assert derive_pattern(KEY_1010, 4).bits == bytes([1, 0, 1, 0])
         assert detect_block(bytes([5, 5, 5, 5]), (1, 4), KEY_1010, alpha=0.5) == (0.0, 0)
         assert detect_block(bytes([2, 1, 2, 1]), (1, 4), KEY_1010, alpha=0.5) == (math.inf, 1)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: derive_pattern(b"k", 8.0), "block_len must be an integer, got float", id="block_len"),
+            pytest.param(lambda: derive_pattern(b"k", True), "block_len must be an integer, got bool", id="bool"),
+            pytest.param(
+                lambda: detect_blocks(Carrier(8, 8, bytes(64)), b"k", 1.0, StatParams()),
+                "bit_count must be an integer, got float",
+                id="bit_count",
+            ),
+            pytest.param(
+                lambda: detect_blocks(Carrier(8, 8, bytes(64)), b"k", 0, StatParams(), 0.5),
+                "first must be an integer, got float",
+                id="first",
+            ),
+        ],
+    )
+    def test_count_that_is_not_an_integer_is_named(self, call, message):
+        with pytest.raises(ValueError) as refusal:
+            call()
+        assert str(refusal.value) == message
+
+    def test_numpy_counts_are_integers(self):
+        assert derive_pattern(b"k", np.int64(8)) == derive_pattern(b"k", 8)
+        carrier = Carrier(16, 8, bytes(range(128)))
+        assert detect_blocks(carrier, b"k", np.int64(1), StatParams(), np.int64(1)) == detect_blocks(
+            carrier, b"k", 1, StatParams(), 1
+        )
 
 
 class TestQuantile:
@@ -338,6 +370,11 @@ class TestValueTypes:
             pytest.param(
                 lambda: MessageLayout([0, 1]), "message_bits must be a tuple or bytes, got list", id="list-bits"
             ),
+            pytest.param(lambda: StatParams(alpha="0.05"), "alpha must be a real number, got str", id="text-alpha"),
+            pytest.param(
+                lambda: StatParams(alpha=Decimal("0.05")), "alpha must be a real number, got Decimal", id="decimal-alpha"
+            ),
+            pytest.param(lambda: StatParams(alpha=True), "alpha must be a real number, got bool", id="bool-alpha"),
         ],
     )
     def test_wrong_field_type_is_named(self, build, message):
@@ -349,6 +386,50 @@ class TestValueTypes:
         eight, message = np.int64(8), MessageLayout((1,))
         marked = embed_message(Carrier(eight, eight, bytes(64)), b"k", message, StatParams(eight, eight, np.int64(10)))
         assert marked == embed_message(Carrier(8, 8, bytes(64)), b"k", message, StatParams(8, 8, 10))
+
+    def test_numpy_integers_detect(self):
+        eight, carrier = np.int64(8), Carrier(8, 8, bytes(range(64)))
+        read = detect_blocks(Carrier(eight, eight, carrier.pixels), b"k", np.int64(1), StatParams(eight, eight))
+        assert read == detect_blocks(carrier, b"k", 1, StatParams(8, 8))
+
+    @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [
+            pytest.param(Carrier, (np.int64(2), np.int32(1), b"ab"), id="Carrier"),
+            pytest.param(StatParams, (np.int64(8), np.uint8(8), np.int16(10), 0.05), id="StatParams"),
+        ],
+    )
+    def test_integer_fields_are_stored_as_int(self, cls, fields, path):
+        plain = cls(*map(int, fields[:-1]), fields[-1])
+        made = CONSTRUCTION_PATHS[path](cls, plain, fields)
+        assert [type(field) for field in made[:-1]] == [int] * (len(fields) - 1)
+        assert made == plain and hash(made) == hash(plain)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(
+                lambda: Carrier(np.int64(2**32), np.int64(2**32), b""),
+                f"carrier dimensions multiply to more than {sys.maxsize} pixels",
+                id="carrier",
+            ),
+            pytest.param(
+                lambda: StatParams(np.int64(2**32), np.int64(2**32)),
+                "block of 4294967296x4294967296 exceeds 16777216 pixels,"
+                " past which an int64 implementation of the detection sums would overflow",
+                id="block",
+            ),
+        ],
+    )
+    def test_numpy_integers_multiply_without_wrapping(self, build, message):
+        with pytest.raises(ValueError) as refusal:
+            build()
+        assert str(refusal.value) == message
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 20), np.float64(0.05)], ids=["Fraction", "numpy-float64"])
+    def test_real_alpha_is_accepted(self, alpha):
+        assert StatParams(alpha=alpha).z_alpha == StatParams(alpha=0.05).z_alpha
 
     def test_bytes_message_embeds_as_a_tuple_message(self):
         carrier, params = Carrier(16, 8, bytes(range(128))), StatParams()
