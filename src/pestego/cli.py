@@ -78,7 +78,7 @@ def _read_carrier(args):
 
 def cmd_inspect(args) -> tuple[int, list[str]]:
     image = parse_pe(read_file(args.infile), strict=args.strict)
-    nt = image.nt_headers
+    nt, report = image.nt_headers, pestego.capacity(image, "x")
     lines = [
         f"machine:            0x{nt.machine:04X}",
         f"number of sections: {nt.number_of_sections}",
@@ -87,9 +87,9 @@ def cmd_inspect(args) -> tuple[int, list[str]]:
         f"file alignment:     0x{nt.file_alignment:X}",
         f"size of headers:    0x{nt.size_of_headers:X}",
         f"checksum:           0x{nt.checksum:08X}",
-        f"header table end:   0x{image.header_end_offset:X}",
-        f"header slack:       {_span(pestego.header_slack(image))}",
-        f"capacity:           {pestego.capacity(image, 'x').usable} payload bytes (1-byte name)",
+        f"header table end:   0x{image.section_table.end:X}",
+        f"header slack:       {_span(report.region)}",
+        f"capacity:           {report.usable} payload bytes (1-byte name)",
         "sections:",
         "  name      vaddr       vsize       rawptr      rawsize     slack",
     ]

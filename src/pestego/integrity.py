@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .pe_format import SECTION_HEADER_SIZE, Region, header_slack, parse_pe
+from .pe_format import Region, header_slack, parse_pe
 
 
 class EquivalenceReport(namedtuple("EquivalenceReport", "identical_headers identical_section_table diff_regions"
@@ -59,10 +59,9 @@ def compare(before: bytes, after: bytes) -> EquivalenceReport:
     stego = parse_pe(after)  # both sides must be valid PE; the layout comes from the cover, CheckSums from both
 
     regions = _diff_regions(before, after)
-    header_span = cover.header_end_offset
-    table_start = header_span - SECTION_HEADER_SIZE * cover.nt_headers.number_of_sections
-    identical_headers = before[:header_span] == after[:header_span]
-    identical_section_table = before[table_start:header_span] == after[table_start:header_span]
+    table = cover.section_table
+    identical_headers = before[: table.end] == after[: table.end]
+    identical_section_table = before[table.offset : table.end] == after[table.offset : table.end]
 
     slack = header_slack(cover)
     confined = len(before) == len(after) and all(slack.contains(r) for r in regions)

@@ -36,8 +36,6 @@ _COFF = struct.Struct("<HH12xH2x")  # Machine, NumberOfSections, SizeOfOptionalH
 # fields past CheckSum are carried as opaque bytes, and a shorter optional header is refused.
 _OPTIONAL = struct.Struct("<H14xI8xI4xI20xII")
 _SECTION = struct.Struct("<8s4I16x")  # Name, VirtualSize, VirtualAddress, SizeOfRawData, PointerToRawData
-COFF_HEADER_SIZE = _COFF.size
-SECTION_HEADER_SIZE = _SECTION.size
 
 
 class Region(namedtuple("Region", "offset length")):
@@ -71,36 +69,23 @@ class SectionHeader(namedtuple("SectionHeader", "name virtual_size virtual_addre
     def display_name(self) -> str:
         return self.name.rstrip(b"\x00").decode("ascii", errors="replace")
 
-    def raw_region(self) -> Region:
-        return Region(self.pointer_to_raw_data, self.size_of_raw_data)
-
     def slack(self) -> Region:
         """Unused tail of the raw data (SizeOfRawData past VirtualSize); empty, at the raw data's end, if none."""
         used = min(self.virtual_size, self.size_of_raw_data)
         return Region(self.pointer_to_raw_data + used, self.size_of_raw_data - used)
 
 
-class PeImage(namedtuple("PeImage", "data nt_headers sections nt_offset warnings")):
+class PeImage(namedtuple("PeImage", "data nt_headers sections section_table warnings")):
     """Parsed model of a 32-bit PE file plus its full raw bytes.
 
     Instances come from :func:`parse_pe` and are immutable, so the decoded
     headers always describe ``data``.  An edited file is new bytes, parsed
     again, as :func:`pestego.payload.hide` does.  ``sections`` is a tuple of
-    SectionHeader and ``warnings`` a tuple of str.
+    SectionHeader, ``section_table`` the Region of the section header table
+    (its ``end`` is where the header slack starts) and ``warnings`` a tuple of str.
     """
 
     __slots__ = ()
-
-    @property
-    def header_end_offset(self) -> int:
-        """File offset of the first byte after the section header table."""
-        return (
-            self.nt_offset
-            + len(PE_SIGNATURE)
-            + COFF_HEADER_SIZE
-            + self.nt_headers.size_of_optional_header
-            + SECTION_HEADER_SIZE * self.nt_headers.number_of_sections
-        )
 
     def __repr__(self) -> str:
         return (
@@ -128,7 +113,8 @@ def _layout_warnings(nt: NtHeaders, sections: tuple[SectionHeader, ...], file_si
                 warnings.append(f"section {label}: SizeOfRawData 0x{sec.size_of_raw_data:X} not aligned to FileAlignment")
         if sec.size_of_raw_data and sec.pointer_to_raw_data + sec.size_of_raw_data > file_size:
             warnings.append(f"section {label}: raw data extends past end of file")
-    occupied = [(s.raw_region(), label) for s, label in zip(sections, labels) if s.size_of_raw_data]
+    occupied = [(Region(s.pointer_to_raw_data, s.size_of_raw_data), label)
+                for s, label in zip(sections, labels) if s.size_of_raw_data]
     occupied.sort(key=lambda item: item[0].offset)
     # Each section meets its neighbour in file order and the earlier section that reaches furthest (the
     # later one on a tie), which every section that overlaps some earlier one also overlaps.
@@ -180,23 +166,16 @@ def parse_pe(data: bytes, *, strict: bool = False) -> PeImage:
         raise Not32BitError(f"optional-header magic 0x{opt_magic:X} is not PE32 (0x10B)")
     nt = NtHeaders(*coff, *optional)
 
-    table_offset = opt_offset + size_of_optional_header
-    table_end = table_offset + _SECTION.size * nt.number_of_sections
-    if table_end > len(data):
+    table = Region(opt_offset + size_of_optional_header, _SECTION.size * nt.number_of_sections)
+    if table.end > len(data):
         raise TruncatedError("section table extends past end of file")
-    sections = tuple(map(SectionHeader._make, _SECTION.iter_unpack(data[table_offset:table_end])))
+    sections = tuple(map(SectionHeader._make, _SECTION.iter_unpack(data[table.offset : table.end])))
 
     warnings = _layout_warnings(nt, sections, len(data))
     if strict and warnings:
         raise StrictParseError(warnings)
 
-    return PeImage(
-        data=data,
-        nt_headers=nt,
-        sections=sections,
-        nt_offset=e_lfanew,
-        warnings=warnings,
-    )
+    return PeImage(data=data, nt_headers=nt, sections=sections, section_table=table, warnings=warnings)
 
 
 def serialize(image: PeImage) -> bytes:
@@ -227,6 +206,6 @@ def header_slack(image: PeImage) -> Region:
         if sec.size_of_raw_data:
             end = min(end, sec.pointer_to_raw_data)
     end = min(end, len(image.data))
-    start = image.header_end_offset
+    start = image.section_table.end
     return Region(start, max(0, end - start))
 

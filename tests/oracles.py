@@ -141,9 +141,9 @@ def decode_pgm_header_scan(data: bytes) -> tuple[int, int, bytes]:
 
 
 def pe_headers_by_offsets(data: bytes):
-    """(NtHeaders fields, each section's fields, nt_offset, warnings) of a PE32 file, read one field at a time at
-    hand-added offsets as pestego's parse_pe did before each header became one struct; a refusal is
-    'ErrorClassName: message' with the parser's text."""
+    """(NtHeaders fields, each section's fields, the section table's (offset, length), warnings) of a PE32 file,
+    read one field at a time at hand-added offsets as pestego's parse_pe did before each header became one struct;
+    a refusal is 'ErrorClassName: message' with the parser's text."""
 
     def u16(offset: int) -> int:
         return struct.unpack_from("<H", data, offset)[0]
@@ -205,7 +205,7 @@ def pe_headers_by_offsets(data: bytes):
                 warnings.append(f"sections {other[2]} and {span[2]} overlap in file space")
         if furthest is None or span[1] >= furthest[1]:
             furthest = span
-    return nt, sections, e_lfanew, tuple(warnings)
+    return nt, sections, (table, 40 * number_of_sections), tuple(warnings)
 
 
 def record_by_offsets(buf: bytes):

@@ -38,8 +38,8 @@ class TestParse:
     def test_minimal_fixture(self, spec_pe):
         image = parse_pe(spec_pe.data)
         assert image.nt_headers.number_of_sections == 1
-        assert image.nt_offset == spec_pe.e_lfanew
-        assert image.header_end_offset == spec_pe.header_end_offset
+        assert image.section_table == Region(spec_pe.e_lfanew + 24 + 0xE0, 40)
+        assert image.section_table.end == spec_pe.header_end_offset
         assert image.nt_headers.file_alignment == spec_pe.file_alignment
         assert image.nt_headers.size_of_headers == spec_pe.size_of_headers
         assert image.nt_headers.image_base == spec_pe.image_base
@@ -58,11 +58,11 @@ class TestParse:
     def test_header_end_arithmetic(self, corpus):
         for built in corpus:
             image = parse_pe(built.data)
-            expected = (
-                built.e_lfanew + 24 + image.nt_headers.size_of_optional_header
-                + 40 * image.nt_headers.number_of_sections
+            table = Region(
+                built.e_lfanew + 24 + image.nt_headers.size_of_optional_header, 40 * image.nt_headers.number_of_sections
             )
-            assert image.header_end_offset == expected == built.header_end_offset
+            assert image.section_table == table
+            assert table.end == built.header_end_offset
 
     def test_not_mz(self, spec_pe):
         bad = b"XX" + spec_pe.data[2:]
@@ -266,7 +266,7 @@ class TestSlack:
             image = parse_pe(built.data)
             regions = [header_slack(image)]
             regions += [sec.slack() for sec in image.sections]
-            used = [Region(0, image.header_end_offset)]
+            used = [Region(0, image.section_table.end)]
             used += [
                 Region(s.pointer_to_raw_data, min(s.virtual_size, s.size_of_raw_data))
                 for s in image.sections
@@ -291,7 +291,7 @@ class TestBufferOwnership:
     def test_image_is_immutable(self, spec_pe):
         data = spec_pe.data
         image = parse_pe(data)
-        for field in ("data", "nt_headers", "sections", "nt_offset", "warnings"):
+        for field in ("data", "nt_headers", "sections", "section_table", "warnings"):
             with pytest.raises(AttributeError):
                 setattr(image, field, None)
         assert serialize(image) is data
@@ -324,7 +324,7 @@ def decoded(data: bytes):
         image = parse_pe(data)
     except PeStegoError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return image.nt_headers, image.sections, image.nt_offset, image.warnings
+    return image.nt_headers, image.sections, image.section_table, image.warnings
 
 
 @settings(max_examples=300)
@@ -366,8 +366,8 @@ VALUE_TYPES = [
         " pointer_to_raw_data=1024)",
     ),
     (
-        PeImage(b"MZ", NT, (TEXT,), 0x80, ("a warning",)),
-        "data nt_headers sections nt_offset warnings",
+        PeImage(b"MZ", NT, (TEXT,), Region(0x150, 40), ("a warning",)),
+        "data nt_headers sections section_table warnings",
         "PeImage(2 bytes, 1 sections, image_base=0x00400000)",
     ),
     (PayloadRecord("a.txt", b"hi"), "name data", "PayloadRecord(name='a.txt', data=b'hi')"),
