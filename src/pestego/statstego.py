@@ -90,7 +90,9 @@ class KeyPattern(_Checked, namedtuple("KeyPattern", "bits")):
 
 
 def derive_pattern(key: bytes, block_len: int) -> KeyPattern:
-    """Deterministically derive the balanced mask for (key, block_len)."""
+    """Deterministically derive the balanced mask for (key, block_len); key is bytes or a bytearray."""
+    if not isinstance(key, (bytes, bytearray)):
+        raise _wrong_type("key", "bytes", key)
     block_len = _integer("block_len", block_len)
     if block_len % 2:
         raise OddBlockLengthError(f"block length {_shown(block_len)} is odd; patterns need an even length")

@@ -101,6 +101,8 @@ def test_pe_library(data):
         return
     assert serialize(image) == data
     assert Region(0, len(data)).contains(header_slack(image))  # so slicing data by the slack never runs past it
+    assert Region(0, len(data)).contains(image.section_table)  # nor compare's slices by the table
+    assert header_slack(image).offset == image.section_table.end
     for sec in image.sections:
         sec.slack()
     capacity(image, "p.bin")
@@ -159,9 +161,9 @@ CALLS = {
     "Carrier": Carrier,
     "MessageLayout": MessageLayout,
     "KeyPattern": KeyPattern,
-    "derive_pattern": lambda block_len: derive_pattern(b"k", block_len),
+    "derive_pattern": derive_pattern,
     "rva_to_va": rva_to_va,
-    "detect_blocks": lambda bit_count, first: detect_blocks(CARRIER, b"k", bit_count, SMALL_BLOCKS, first),
+    "detect_blocks": lambda key, bit_count, first: detect_blocks(CARRIER, key, bit_count, SMALL_BLOCKS, first),
 }
 INTEGER_FIELDS = {StatParams: ("block_rows", "block_cols", "k"), Carrier: ("width", "height")}
 
@@ -174,7 +176,7 @@ def counts(value) -> bool:
 @st.composite
 def calls(draw):
     name = draw(st.sampled_from(sorted(CALLS)))
-    arity = {"StatParams": 4, "Carrier": 3, "rva_to_va": 2, "detect_blocks": 2}.get(name, 1)
+    arity = {"StatParams": 4, "Carrier": 3, "rva_to_va": 2, "derive_pattern": 2, "detect_blocks": 3}.get(name, 1)
     args = [draw(NUMBERS) for _ in range(arity)]
     if name == "Carrier" and draw(st.booleans()):
         args[2] = FITS
@@ -199,7 +201,7 @@ def use(value) -> None:
 @example(call=("StatParams", (2, 4, 10**5000, Fraction(1, 3))))
 @example(call=("MessageLayout", (b"\x01\x00\x01",)))
 @example(call=("KeyPattern", (b"\x00\x01",)))
-@example(call=("derive_pattern", (np.int64(40),)))
+@example(call=("derive_pattern", (b"k", np.int64(40))))
 @example(call=("Carrier", (np.int64(2**32), np.int64(2**32), b"")))
 @example(call=("StatParams", (np.int64(2**32), np.int64(2**32), 10, 0.05)))
 @example(call=("Carrier", (np.int64(8), np.int64(8), FITS)))
@@ -207,16 +209,17 @@ def use(value) -> None:
 @example(call=("StatParams", (8, 8, 10, "0.05")))
 @example(call=("StatParams", (8, 8, 10, Decimal("0.05"))))
 @example(call=("StatParams", (8, 8, 10, Fraction(1, 20))))
-@example(call=("derive_pattern", (8.0,)))
-@example(call=("detect_blocks", (1.0, 0)))
-@example(call=("detect_blocks", (0, 0.5)))
+@example(call=("derive_pattern", (b"k", 8.0)))
+@example(call=("detect_blocks", (b"k", 1.0, 0)))
+@example(call=("detect_blocks", (b"k", 0, 0.5)))
 @example(call=("rva_to_va", (0x400000, 0.5)))
 @example(call=("rva_to_va", (0x400000, True)))
 @example(call=("rva_to_va", (0, 10**5000)))
 @example(call=("rva_to_va", (np.int64(2**62), np.int64(2**62))))
 def test_numbers_and_counts(call):
     """Any argument ends in a value or a short domain refusal, never a TypeError, an AttributeError, a MemoryError
-    or a numpy warning; a value stores its integer fields as int, and a count or address that is not one is refused."""
+    or a numpy warning; a value stores its integer fields as int, and a count or address that is not one, or a key
+    that is not bytes, is refused."""
     name, args = call
     if args[-1] is FITS:
         try:
@@ -234,8 +237,9 @@ def test_numbers_and_counts(call):
             return
         for field in INTEGER_FIELDS.get(type(value), ()):
             assert type(getattr(value, field)) is int
-        if name in ("derive_pattern", "rva_to_va", "detect_blocks"):
-            assert all(map(counts, args))
+        if name in ("derive_pattern", "detect_blocks"):  # a key, then counts
+            assert isinstance(args[0], (bytes, bytearray)) and all(map(counts, args[1:]))
         if name == "rva_to_va":
+            assert all(map(counts, args))
             assert type(value) is int and value == operator.index(args[0]) + operator.index(args[1])
         use(value)

@@ -67,6 +67,25 @@ class TestPattern:
         with pytest.raises(ValueError):
             KeyPattern(bytes([1, 2, 0, 0]))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: derive_pattern("k", 8),
+            lambda: derive_pattern(None, 8),
+            lambda: derive_pattern([1, 300], 8),
+            lambda: derive_pattern("k", 7),  # refused for its key before its length
+            lambda: detect_blocks(Carrier(8, 8, bytes(64)), "k", 1, StatParams(2, 2)),
+            lambda: embed_message(Carrier(8, 8, bytes(64)), 5, MessageLayout((1,)), StatParams(2, 2)),
+        ],
+        ids=["str", "None", "int-list", "str-odd-length", "detect-str", "embed-int"],
+    )
+    def test_key_must_be_bytes(self, call):
+        with pytest.raises(ValueError, match=r"^key must be bytes, got (str|NoneType|list|int)$"):
+            call()
+
+    def test_bytearray_key(self):
+        assert derive_pattern(bytearray(b"key"), 64) == derive_pattern(b"key", 64)
+
     @given(key=st.binary(max_size=64), length=st.integers(1, 2048).map(lambda n: 2 * n))
     @example(key=b"pinned", length=65536)
     @example(key=b"", length=64)
